@@ -9,7 +9,9 @@ package ninf_test
 // ordinary Call/Submit/Fetch surface and vary only the thresholds.
 
 import (
+	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -240,4 +242,122 @@ func TestBulkFetchDuringCloseFailsRetryable(t *testing.T) {
 			t.Fatalf("round %d: open reassemblies after close = %d", round, g)
 		}
 	}
+}
+
+// TestBulkCallAllocBound pins the end-to-end allocation budget of a
+// call over a mux session: operands land in pooled server arrays and
+// results decode straight into the caller's slice, so an 8 MiB echo
+// allocates less than its payload per op (it allocated about 3.4×
+// when every operand was materialized on both sides), and a 64 KiB
+// echo stays below its payload too.
+func TestBulkCallAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a quarter of Puts, so pooled storage cannot show")
+	}
+	_, dial := startServer(t, server.Config{})
+	c := newClient(t, dial)
+	for _, n := range []int{1 << 20, 8 << 10} {
+		in := bulkVec(n)
+		out := make([]float64, n)
+		if _, err := c.Call("echo", n, in, out); err != nil {
+			t.Fatal(err)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Call("echo", n, in, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		checkEcho(t, in, out)
+		if !c.Multiplexed() {
+			t.Fatal("echo did not ride a mux session")
+		}
+		if bpo, payload := res.AllocedBytesPerOp(), int64(8*n); bpo >= payload {
+			t.Errorf("%d-byte echo allocates %d B/op, want under its payload", payload, bpo)
+		} else {
+			t.Logf("%d-byte echo: %d B/op, %d allocs/op", payload, bpo, res.AllocsPerOp())
+		}
+	}
+}
+
+// TestBulkRetainedResultSurvivesPoolReuse: a retained result is
+// aliased by the server's argument cache, so it must never go back to
+// the array pool. A burst of same-size calls, whose arrays would
+// recycle exactly that storage, must leave the handle's bytes intact.
+func TestBulkRetainedResultSurvivesPoolReuse(t *testing.T) {
+	// cdouble's result differs from its operand, so the cache holds
+	// the server's own result array, not a copy of the upload.
+	_, dial, _ := startCountingServer(t, server.Config{CacheBudget: 16 << 20})
+	keeper := newClient(t, dial)
+	keeper.SetRetainResults(true)
+	const n = 64 << 10 // 512 KiB: pooled, and above the bulk threshold
+	in := bulkVec(n)
+	kept := make([]float64, n)
+	if _, err := keeper.Call("cdouble", n, in, kept); err != nil {
+		t.Fatal(err)
+	}
+	checkDoubled(t, in, kept)
+	h, ok := keeper.HandleFor(kept)
+	if !ok {
+		t.Fatal("HandleFor refused a float64 slice")
+	}
+
+	burst := newClient(t, dial)
+	other := make([]float64, n)
+	out := make([]float64, n)
+	for k := 0; k < 16; k++ {
+		for i := range other {
+			other[i] = float64(k*n + i)
+		}
+		if _, err := burst.Call("cdouble", n, other, out); err != nil {
+			t.Fatal(err)
+		}
+		checkDoubled(t, other, out)
+	}
+
+	var got []float64
+	if err := keeper.FetchData(context.Background(), h, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("fetched %d elements, want %d", len(got), n)
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(kept[i]) {
+			t.Fatalf("retained result changed at %d: %g, want %g — its storage was pooled", i, got[i], kept[i])
+		}
+	}
+}
+
+// TestBulkTwoPhaseResultSurvivesPoolReuse: a finished two-phase job
+// hands its arrays back to the pool once its reply is pre-encoded, so
+// a burst of same-size calls recycles them before the fetch. The
+// fetched result must still be the job's own.
+func TestBulkTwoPhaseResultSurvivesPoolReuse(t *testing.T) {
+	_, dial := startServer(t, server.Config{PEs: 1})
+	c := newClient(t, dial)
+	const n = 64 << 10
+	in := bulkVec(n)
+	out := make([]float64, n)
+	job, err := c.Submit("echo", n, in, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One PE: every call below runs after the job has finished.
+	other := make([]float64, n)
+	tmp := make([]float64, n)
+	for k := 0; k < 8; k++ {
+		for i := range other {
+			other[i] = -float64(k*n + i)
+		}
+		if _, err := c.Call("echo", n, other, tmp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := job.Fetch(true); err != nil {
+		t.Fatal(err)
+	}
+	checkEcho(t, in, out)
 }

@@ -15,11 +15,13 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ninf"
 	"ninf/internal/faultnet"
+	"ninf/internal/idl"
 	"ninf/internal/library"
 	"ninf/internal/metaserver"
 	"ninf/internal/protocol"
@@ -452,15 +454,28 @@ func TestChaosMuxPartitionFailover(t *testing.T) {
 	var injectors []*faultnet.Injector
 	var servers []*server.Server
 	for i := 0; i < 2; i++ {
+		in := faultnet.New(faultnet.Plan{}) // no probabilistic faults: the partition is the event
 		reg, err := library.NewRegistry()
 		if err != nil {
 			t.Fatal(err)
 		}
-		// srv0 serializes execution (PEs: 1) so the 64-call pipeline is
-		// still in flight when the partition strikes it.
-		pes := 1
-		if i == 1 {
-			pes = 4
+		pes := 4
+		if i == 0 {
+			// srv0 serializes execution (PEs: 1) and partitions itself
+			// from inside its 4th dmmul, so the 64-call pipeline is
+			// provably still in flight when the partition strikes. (A
+			// poll of its call count could miss a pipeline that drains
+			// within one poll interval.)
+			pes = 1
+			ex := reg.Lookup("dmmul")
+			dmmul := ex.Handler
+			var calls atomic.Int64
+			ex.Handler = func(ctx context.Context, args []idl.Value) error {
+				if calls.Add(1) == 4 {
+					in.Partition()
+				}
+				return dmmul(ctx, args)
+			}
 		}
 		s := server.New(server.Config{Hostname: fmt.Sprintf("part%d", i), PEs: pes}, reg)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -470,7 +485,6 @@ func TestChaosMuxPartitionFailover(t *testing.T) {
 		go s.Serve(l)
 		t.Cleanup(func() { s.Close() })
 		addr := l.Addr().String()
-		in := faultnet.New(faultnet.Plan{}) // no probabilistic faults: the partition is the event
 		if err := meta.AddServer(fmt.Sprintf("part%d", i), addr, 100, in.Dialer(func() (net.Conn, error) { return net.Dial("tcp", addr) })); err != nil {
 			t.Fatal(err)
 		}
@@ -499,26 +513,11 @@ func TestChaosMuxPartitionFailover(t *testing.T) {
 		tx.Call("dmmul", n, a, b, got)
 	}
 
-	// Partition srv0 once the pipeline is demonstrably in flight on it.
-	partitioned := make(chan struct{})
-	go func() {
-		defer close(partitioned)
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if servers[0].Stats().TotalCalls >= 4 {
-				injectors[0].Partition()
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-
 	if err := tx.EndContext(testContext(t)); err != nil {
 		t.Fatalf("transaction failed across the partition: %v", err)
 	}
-	<-partitioned
 	if !injectors[0].Partitioned() {
-		t.Fatal("partition never fired: the pipeline drained before it was in flight")
+		t.Fatal("partition never fired: srv0 ran fewer than 4 calls")
 	}
 
 	for k, e := range expects {

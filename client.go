@@ -1262,8 +1262,9 @@ func classifyFetchErr(err error) error {
 	return err
 }
 
-// finishFetch decodes one fetch reply (mux or lockstep) into the
-// job's destinations, consuming the reply buffer. A non-nil bulk means
+// finishFetch decodes one fetch reply (mux or lockstep) straight into
+// the job's destinations, consuming the reply buffer; a reply that
+// fails to decode leaves them untouched. A non-nil bulk means
 // the reply was a reassembled chunked message (its head is the XDR
 // prefix); lockstep fetches always pass nil.
 func (j *Job) finishFetch(t protocol.MsgType, p *protocol.Buffer, bulk *protocol.BulkInfo) (*Report, error) {
@@ -1277,16 +1278,13 @@ func (j *Job) finishFetch(t protocol.MsgType, p *protocol.Buffer, bulk *protocol
 	if bulk != nil {
 		pp = bulk.Head()
 	}
-	tm, out, err := protocol.DecodeCallReplyBulk(j.info, j.vals, pp, bulk)
+	tm, err := protocol.DecodeCallReplyInto(j.info, j.vals, pp, bulk, j.args)
 	if err != nil {
 		return nil, err
 	}
 	j.report.Enqueue = time.Unix(0, tm.Enqueue)
 	j.report.Dequeue = time.Unix(0, tm.Dequeue)
 	j.report.Complete = time.Unix(0, tm.Complete)
-	if err := storeResults(j.info, j.args, out); err != nil {
-		return nil, err
-	}
 	return j.report, nil
 }
 
@@ -1315,85 +1313,4 @@ func toValues(info *idl.Info, args []any) ([]idl.Value, error) {
 		}
 	}
 	return vals, nil
-}
-
-// storeResults writes decoded out/inout values back into the caller's
-// destinations.
-func storeResults(info *idl.Info, args []any, out []idl.Value) error {
-	for i := range info.Params {
-		p := &info.Params[i]
-		if !p.Mode.Ships(true) {
-			continue
-		}
-		if args[i] == nil {
-			continue // caller discards this result
-		}
-		if err := storeOne(p, args[i], out[i]); err != nil {
-			return fmt.Errorf("ninf: %s result %q: %w", info.Name, p.Name, err)
-		}
-	}
-	return nil
-}
-
-func storeOne(p *idl.Param, dst any, v idl.Value) error {
-	switch d := dst.(type) {
-	case []float64:
-		s, ok := v.([]float64)
-		if !ok || len(s) != len(d) {
-			return fmt.Errorf("cannot store %T (len %d) into []float64 of len %d", v, valueLen(v), len(d))
-		}
-		copy(d, s)
-	case []float32:
-		s, ok := v.([]float32)
-		if !ok || len(s) != len(d) {
-			return fmt.Errorf("cannot store %T into []float32 of len %d", v, len(d))
-		}
-		copy(d, s)
-	case []int64:
-		s, ok := v.([]int64)
-		if !ok || len(s) != len(d) {
-			return fmt.Errorf("cannot store %T into []int64 of len %d", v, len(d))
-		}
-		copy(d, s)
-	case *float64:
-		s, ok := v.(float64)
-		if !ok {
-			return fmt.Errorf("cannot store %T into *float64", v)
-		}
-		*d = s
-	case *float32:
-		s, ok := v.(float32)
-		if !ok {
-			return fmt.Errorf("cannot store %T into *float32", v)
-		}
-		*d = s
-	case *int64:
-		s, ok := v.(int64)
-		if !ok {
-			return fmt.Errorf("cannot store %T into *int64", v)
-		}
-		*d = s
-	case *string:
-		s, ok := v.(string)
-		if !ok {
-			return fmt.Errorf("cannot store %T into *string", v)
-		}
-		*d = s
-	default:
-		return fmt.Errorf("unsupported result destination %T", dst)
-	}
-	return nil
-}
-
-func valueLen(v idl.Value) int {
-	switch s := v.(type) {
-	case []float64:
-		return len(s)
-	case []float32:
-		return len(s)
-	case []int64:
-		return len(s)
-	default:
-		return -1
-	}
 }

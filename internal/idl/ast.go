@@ -201,12 +201,22 @@ func (in *Info) scalarEnv(args []Value) (map[string]int64, error) {
 // against the scalar arguments of a call and returns, per parameter,
 // the total element count (product of dims; 1 for scalars).
 func (in *Info) DimSizes(args []Value) ([]int, error) {
+	return in.DimSizesInto(nil, args)
+}
+
+// DimSizesInto is DimSizes reusing counts' storage when its capacity
+// holds one entry per parameter, so a decoder that keeps the slice
+// evaluates dimensions without allocating.
+func (in *Info) DimSizesInto(counts []int, args []Value) ([]int, error) {
 	env, err := in.scalarEnv(args)
 	if err != nil {
 		return nil, err
 	}
 	defer releaseEnv(env)
-	counts := make([]int, len(in.Params))
+	if cap(counts) < len(in.Params) {
+		counts = make([]int, len(in.Params))
+	}
+	counts = counts[:len(in.Params)]
 	for i := range in.Params {
 		p := &in.Params[i]
 		count := int64(1)

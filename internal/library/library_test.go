@@ -51,10 +51,12 @@ func invoke(t *testing.T, name string, args ...idl.Value) []idl.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := protocol.DecodeCallArgs(ex.Info, rest)
+	ca, err := protocol.DecodeCallArgs(ex.Info, rest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ca.Release()
+	decoded := ca.Args
 	if err := ex.Handler(context.Background(), decoded); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

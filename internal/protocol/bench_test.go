@@ -167,8 +167,10 @@ func BenchmarkDecodeCallArgs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeCallArgs(info, rest); err != nil {
+		ca, err := DecodeCallArgs(info, rest, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ca.Release()
 	}
 }

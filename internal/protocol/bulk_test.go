@@ -125,12 +125,14 @@ func TestBulkCallRequestChunkedRoundTrip(t *testing.T) {
 	if name != "dmmul" {
 		t.Fatalf("name %q", name)
 	}
-	vals, deadline, err := DecodeCallArgsDeadlineBulk(info, rest, &bd.Bulk)
+	ca, err := DecodeCallArgs(info, rest, &bd.Bulk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deadline != req.Deadline {
-		t.Fatalf("deadline %d, want %d", deadline, req.Deadline)
+	defer ca.Release()
+	vals := ca.Args
+	if ca.Deadline != req.Deadline {
+		t.Fatalf("deadline %d, want %d", ca.Deadline, req.Deadline)
 	}
 	if vals[0].(int64) != int64(n) {
 		t.Fatalf("n = %v", vals[0])
@@ -144,7 +146,7 @@ func TestBulkCallRequestChunkedRoundTrip(t *testing.T) {
 	base0 := bd.Bulk.Base[bd.Bulk.HeadLen]
 	vals1 := vals[1].([]float64)
 	bd.Bulk.Base[bd.Bulk.HeadLen] ^= 0xff
-	if f64Bytes(vals1)[0] != base0^0xff && !reflect.DeepEqual(vals[1], a) {
+	if raw, _, _ := rawView(vals1); raw[0] != base0^0xff && !reflect.DeepEqual(vals[1], a) {
 		t.Fatal("unreachable")
 	}
 	if !reflect.DeepEqual(vals[1], a) {
@@ -193,10 +195,11 @@ func TestBulkSubmitRequestChunkedRoundTrip(t *testing.T) {
 	if name != "dmmul" {
 		t.Fatalf("name %q", name)
 	}
-	vals, err := DecodeCallArgsBulk(info, rest, &bd.Bulk)
+	ca, err := DecodeCallArgs(info, rest, &bd.Bulk)
 	if err != nil {
 		t.Fatal(err)
 	}
+	vals := ca.Args
 	if !reflect.DeepEqual(vals[1], a) {
 		t.Fatal("bulk-decoded submit args differ")
 	}
@@ -231,7 +234,7 @@ func TestBulkCallReplyChunkedRoundTrip(t *testing.T) {
 	}
 
 	callArgs := []idl.Value{int64(n), nil, nil, nil}
-	gotTm, out, err := DecodeCallReplyBulk(info, callArgs, bd.Bulk.Head(), &bd.Bulk)
+	gotTm, out, err := decodeReply(info, callArgs, bd.Bulk.Head(), &bd.Bulk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestBulkCallReplyChunkedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mono.Release()
-	_, monoOut, err := DecodeCallReply(info, callArgs, mono.Payload())
+	_, monoOut, err := decodeReply(info, callArgs, mono.Payload(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +321,7 @@ func TestMonolithicDecodeRejectsMarkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeCallArgsDeadline(info, rest); err == nil {
+	if _, err := DecodeCallArgs(info, rest, nil); err == nil {
 		t.Fatal("monolithic decode accepted a bulk-marker head")
 	}
 }
@@ -510,10 +513,10 @@ func TestRawVecForeignEndian(t *testing.T) {
 		binary.LittleEndian.PutUint64(le[8*i:], math.Float64bits(f))
 		binary.BigEndian.PutUint64(be[8*i:], math.Float64bits(f))
 	}
-	if got := decodeRawFloat64s(le, true); !reflect.DeepEqual(got, v) {
+	if got := rawDecode(idl.Double, le, true); !reflect.DeepEqual(got, v) {
 		t.Fatalf("LE decode %v", got)
 	}
-	if got := decodeRawFloat64s(be, false); !reflect.DeepEqual(got, v) {
+	if got := rawDecode(idl.Double, be, false); !reflect.DeepEqual(got, v) {
 		t.Fatalf("BE decode %v", got)
 	}
 
@@ -524,10 +527,10 @@ func TestRawVecForeignEndian(t *testing.T) {
 		binary.LittleEndian.PutUint64(ile[8*i:], uint64(x))
 		binary.BigEndian.PutUint64(ibe[8*i:], uint64(x))
 	}
-	if got := decodeRawInt64s(ile, true); !reflect.DeepEqual(got, iv) {
+	if got := rawDecode(idl.Int, ile, true); !reflect.DeepEqual(got, iv) {
 		t.Fatalf("LE int decode %v", got)
 	}
-	if got := decodeRawInt64s(ibe, false); !reflect.DeepEqual(got, iv) {
+	if got := rawDecode(idl.Int, ibe, false); !reflect.DeepEqual(got, iv) {
 		t.Fatalf("BE int decode %v", got)
 	}
 
@@ -538,10 +541,10 @@ func TestRawVecForeignEndian(t *testing.T) {
 		binary.LittleEndian.PutUint32(fle[4*i:], math.Float32bits(f))
 		binary.BigEndian.PutUint32(fbe[4*i:], math.Float32bits(f))
 	}
-	if got := decodeRawFloat32s(fle, true); !reflect.DeepEqual(got, fv) {
+	if got := rawDecode(idl.Float, fle, true); !reflect.DeepEqual(got, fv) {
 		t.Fatalf("LE f32 decode %v", got)
 	}
-	if got := decodeRawFloat32s(fbe, false); !reflect.DeepEqual(got, fv) {
+	if got := rawDecode(idl.Float, fbe, false); !reflect.DeepEqual(got, fv) {
 		t.Fatalf("BE f32 decode %v", got)
 	}
 }

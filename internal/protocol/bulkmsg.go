@@ -20,22 +20,8 @@ import (
 // bulkSpanFor returns the raw native-order view of an array value that
 // can ship as a segment, or nil when the parameter cannot.
 func bulkSpanFor(p *idl.Param, v idl.Value) []byte {
-	if p.IsScalar() {
-		return nil
-	}
-	switch p.Type {
-	case idl.Double:
-		if x, ok := v.([]float64); ok {
-			return f64Bytes(x)
-		}
-	case idl.Float:
-		if x, ok := v.([]float32); ok {
-			return f32Bytes(x)
-		}
-	case idl.Int:
-		if x, ok := v.([]int64); ok {
-			return i64Bytes(x)
-		}
+	if b, t, ok := rawView(v); ok && !p.IsScalar() && t == p.Type {
+		return b
 	}
 	return nil
 }
@@ -225,133 +211,4 @@ func bulkElemSize(t idl.Type) int {
 		return 4
 	}
 	return 8
-}
-
-// DecodeCallArgsBulk is DecodeCallArgs for a reassembled bulk payload:
-// rest is the head remainder after DecodeCallName (bulk.Head()-sliced
-// by the caller) and bulk supplies the segment base. A nil bulk decodes
-// monolithically and rejects markers.
-func DecodeCallArgsBulk(info *idl.Info, rest []byte, bulk *BulkInfo) ([]idl.Value, error) {
-	args, _, err := DecodeCallArgsDeadlineBulk(info, rest, bulk)
-	return args, err
-}
-
-// DecodeCallReplyBulk is DecodeCallReply for a reassembled bulk reply:
-// p must be the head portion (bulk.Head()) when bulk is non-nil.
-func DecodeCallReplyBulk(info *idl.Info, callArgs []idl.Value, p []byte, bulk *BulkInfo) (Timings, []idl.Value, error) {
-	pd := acquireDecoder(p)
-	defer pd.release()
-	d := &pd.d
-	var t Timings
-	t.decode(d)
-	if err := d.Err(); err != nil {
-		return t, nil, err
-	}
-	counts, err := info.DimSizes(callArgs)
-	if err != nil {
-		return t, nil, err
-	}
-	out := make([]idl.Value, len(info.Params))
-	for i := range info.Params {
-		pa := &info.Params[i]
-		if !pa.Mode.Ships(true) {
-			continue
-		}
-		v, err := decodeArg(d, pa, counts[i], bulk)
-		if err != nil {
-			return t, nil, fmt.Errorf("protocol: %s result %q: %w", info.Name, pa.Name, err)
-		}
-		out[i] = v
-	}
-	return t, out, d.Err()
-}
-
-// decodeBulkArray reads one array argument in bulk mode: the count word
-// is read explicitly so a marker can divert to the raw segment, while
-// unmarked arrays decode their elements from the head as usual.
-func decodeBulkArray(d *xdr.Decoder, p *idl.Param, count int, bulk *BulkInfo) (idl.Value, error) {
-	n := d.Uint32()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n&bulkArgFlag != 0 && n&bulkDigestFlag != 0 {
-		// Digest marker: the bytes are not in this message. Two u64
-		// words carry the content digest, resolved from the receiver's
-		// argument cache (level ≥ 4 with a non-nil Resolver only).
-		cnt := int(n &^ (bulkArgFlag | bulkDigestFlag))
-		dig := Digest{Hi: d.Uint64(), Lo: d.Uint64()}
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if cnt != count {
-			return nil, fmt.Errorf("array length %d, IDL dimensions give %d", cnt, count)
-		}
-		if bulk.Resolver == nil {
-			return nil, fmt.Errorf("digest marker %v on a connection without an argument cache", dig)
-		}
-		elem := bulkElemSize(p.Type)
-		src, ok := bulk.Resolver.ResolveDigest(dig)
-		if !ok {
-			return nil, fmt.Errorf("%w: %v", ErrDigestMiss, dig)
-		}
-		if len(src) != cnt*elem {
-			return nil, fmt.Errorf("cached entry %v holds %d bytes, marker wants %d×%d", dig, len(src), cnt, elem)
-		}
-		// Cached bytes are normalized to little-endian at insert.
-		switch p.Type {
-		case idl.Double:
-			return decodeRawFloat64s(src, true), nil
-		case idl.Float:
-			return decodeRawFloat32s(src, true), nil
-		case idl.Int:
-			return decodeRawInt64s(src, true), nil
-		default:
-			return nil, fmt.Errorf("unsupported bulk array type %v", p.Type)
-		}
-	}
-	if n&bulkArgFlag != 0 {
-		cnt := int(n &^ bulkArgFlag)
-		off := int(d.Uint32())
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if cnt != count {
-			return nil, fmt.Errorf("array length %d, IDL dimensions give %d", cnt, count)
-		}
-		elem := bulkElemSize(p.Type)
-		if off < bulk.HeadLen || off > len(bulk.Base) || cnt > (len(bulk.Base)-off)/elem {
-			return nil, fmt.Errorf("bulk segment at %d (%d×%d bytes) out of range", off, cnt, elem)
-		}
-		src := bulk.Base[off : off+cnt*elem]
-		if bulk.Resolver != nil {
-			// A cache-enabled receiver retains the uploaded bytes so
-			// the next call can reference them by digest. The resolver
-			// copies; src aliases the reassembly buffer.
-			bulk.Resolver.RetainSegment(src, bulk.LE, elem)
-		}
-		switch p.Type {
-		case idl.Double:
-			return decodeRawFloat64s(src, bulk.LE), nil
-		case idl.Float:
-			return decodeRawFloat32s(src, bulk.LE), nil
-		case idl.Int:
-			return decodeRawInt64s(src, bulk.LE), nil
-		default:
-			return nil, fmt.Errorf("unsupported bulk array type %v", p.Type)
-		}
-	}
-	cnt := int(n)
-	if cnt != count {
-		return nil, fmt.Errorf("array length %d, IDL dimensions give %d", cnt, count)
-	}
-	switch p.Type {
-	case idl.Int:
-		return d.Int64Vec(cnt), d.Err()
-	case idl.Double:
-		return d.Float64Vec(cnt), d.Err()
-	case idl.Float:
-		return d.Float32Vec(cnt), d.Err()
-	default:
-		return nil, fmt.Errorf("unsupported array type %v", p.Type)
-	}
 }

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"reflect"
 
 	"ninf/internal/idl"
 	"ninf/internal/xdr"
@@ -116,56 +116,15 @@ func DigestBytesLE(b []byte) Digest {
 	return Digest{Hi: h1, Lo: h2}
 }
 
-// DigestFloat64s hashes a []float64's little-endian element bytes,
-// zero-copy on little-endian hosts.
-func DigestFloat64s(v []float64) Digest {
-	if hostLittle {
-		return DigestBytesLE(f64Bytes(v))
-	}
-	buf := make([]byte, len(v)*8)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	return DigestBytesLE(buf)
-}
-
-// DigestFloat32s hashes a []float32's little-endian element bytes.
-func DigestFloat32s(v []float32) Digest {
-	if hostLittle {
-		return DigestBytesLE(f32Bytes(v))
-	}
-	buf := make([]byte, len(v)*4)
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(x))
-	}
-	return DigestBytesLE(buf)
-}
-
-// DigestInt64s hashes a []int64's little-endian element bytes.
-func DigestInt64s(v []int64) Digest {
-	if hostLittle {
-		return DigestBytesLE(i64Bytes(v))
-	}
-	buf := make([]byte, len(v)*8)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(x))
-	}
-	return DigestBytesLE(buf)
-}
-
-// DigestValue hashes a bulk-capable array value; false for anything
+// DigestValue hashes a bulk-capable array value's little-endian
+// element bytes, zero-copy on little-endian hosts; false for anything
 // that cannot ride as a bulk segment.
 func DigestValue(v idl.Value) (Digest, bool) {
-	switch x := v.(type) {
-	case []float64:
-		return DigestFloat64s(x), true
-	case []float32:
-		return DigestFloat32s(x), true
-	case []int64:
-		return DigestInt64s(x), true
-	default:
+	b, ok := ValueLEBytes(v)
+	if !ok {
 		return Digest{}, false
 	}
+	return DigestBytesLE(b), true
 }
 
 // ValueLEBytes returns a bulk-capable array value's elements as
@@ -174,37 +133,13 @@ func DigestValue(v idl.Value) (Digest, bool) {
 // bytes are retained). false for anything that cannot ride as a bulk
 // segment.
 func ValueLEBytes(v idl.Value) ([]byte, bool) {
-	switch x := v.(type) {
-	case []float64:
-		if hostLittle {
-			return f64Bytes(x), true
-		}
-		buf := make([]byte, len(x)*8)
-		for i, f := range x {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(f))
-		}
-		return buf, true
-	case []float32:
-		if hostLittle {
-			return f32Bytes(x), true
-		}
-		buf := make([]byte, len(x)*4)
-		for i, f := range x {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(f))
-		}
-		return buf, true
-	case []int64:
-		if hostLittle {
-			return i64Bytes(x), true
-		}
-		buf := make([]byte, len(x)*8)
-		for i, n := range x {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64(n))
-		}
-		return buf, true
-	default:
-		return nil, false
+	b, t, ok := rawView(v)
+	if !ok || hostLittle {
+		return b, ok
 	}
+	out := make([]byte, len(b))
+	reorder(out, b, false, true, bulkElemSize(t))
+	return out, true
 }
 
 // NormalizeSegmentLE returns seg's bytes in little-endian element
@@ -212,20 +147,7 @@ func ValueLEBytes(v idl.Value) ([]byte, bool) {
 // reassembly buffer). elem is the element width in bytes.
 func NormalizeSegmentLE(seg []byte, le bool, elem int) []byte {
 	out := make([]byte, len(seg))
-	if le {
-		copy(out, seg)
-		return out
-	}
-	switch elem {
-	case 4:
-		for i := 0; i+4 <= len(seg); i += 4 {
-			binary.LittleEndian.PutUint32(out[i:], binary.BigEndian.Uint32(seg[i:]))
-		}
-	default:
-		for i := 0; i+8 <= len(seg); i += 8 {
-			binary.LittleEndian.PutUint64(out[i:], binary.BigEndian.Uint64(seg[i:]))
-		}
-	}
+	reorder(out, seg, le, true, elem)
 	return out
 }
 
@@ -377,25 +299,24 @@ func EncodeCallRequestDigest(info *idl.Info, req *CallRequest, keyed bool, key u
 // DecodeLEInto decodes little-endian element bytes (a data-handle
 // reply) into dst: *[]float64, *[]float32 or *[]int64.
 func DecodeLEInto(b []byte, dst any) error {
-	switch p := dst.(type) {
+	var t idl.Type
+	switch dst.(type) {
 	case *[]float64:
-		if len(b)%8 != 0 {
-			return fmt.Errorf("protocol: %d cached bytes are not a float64 array", len(b))
-		}
-		*p = decodeRawFloat64s(b, true)
+		t = idl.Double
 	case *[]float32:
-		if len(b)%4 != 0 {
-			return fmt.Errorf("protocol: %d cached bytes are not a float32 array", len(b))
-		}
-		*p = decodeRawFloat32s(b, true)
+		t = idl.Float
 	case *[]int64:
-		if len(b)%8 != 0 {
-			return fmt.Errorf("protocol: %d cached bytes are not an int64 array", len(b))
-		}
-		*p = decodeRawInt64s(b, true)
+		t = idl.Int
 	default:
 		return fmt.Errorf("protocol: unsupported data-handle destination %T", dst)
 	}
+	elem := bulkElemSize(t)
+	if len(b)%elem != 0 {
+		return fmt.Errorf("protocol: %d cached bytes are not a %v array", len(b), t)
+	}
+	raw := make([]byte, len(b))
+	reorder(raw, b, true, hostLittle, elem)
+	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(viewArray(t, raw)))
 	return nil
 }
 

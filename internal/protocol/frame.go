@@ -187,7 +187,9 @@ func poolClassOf(c int) int {
 // contiguously, so a finished frame goes to the wire with a single
 // Write. Buffers come from AcquireBuffer and must be handed back with
 // Release once the payload is no longer referenced; decoded values
-// never alias the buffer, so releasing after decode is always safe.
+// never alias a frame, so releasing it after decode is always safe.
+// The same pools also back the large arrays of a decoded call (see
+// CallArgs), which use a buffer's whole capacity with no header.
 type Buffer struct {
 	b        []byte // b[:headerSize] header, b[headerSize:] payload
 	enc      xdr.Encoder
@@ -215,6 +217,25 @@ func AcquireBuffer(sizeHint int) *Buffer {
 		size = 1 << (minPoolBits + ci)
 	}
 	return &Buffer{b: make([]byte, headerSize, size)}
+}
+
+// acquireRaw returns a pooled buffer to back n bytes of array storage,
+// or nil when n is beyond the largest class. Unlike AcquireBuffer it
+// reserves no frame header: the whole capacity is the array, so an
+// exact power-of-two array (an 8 MiB matrix) lands in its own class,
+// not the next one up. Arrays and frames share the classes, so memory
+// one call used for a result can carry the next call's frame.
+func acquireRaw(n int) *Buffer {
+	ci := poolClassFor(n)
+	if ci < 0 {
+		return nil
+	}
+	if v := bufPools[ci].Get(); v != nil {
+		fb := v.(*Buffer)
+		fb.released = false
+		return fb
+	}
+	return &Buffer{b: make([]byte, 0, 1<<(minPoolBits+ci))}
 }
 
 // Release returns the buffer to its size-class pool. The buffer (and

@@ -27,8 +27,13 @@ func encodePayload(sizeHint int, fn func(e *xdr.Encoder)) []byte {
 // payloadDecoder pairs a bytes.Reader with an XDR decoder so decode
 // paths reuse both (and the decoder's bulk chunk buffer) across calls.
 type payloadDecoder struct {
-	br bytes.Reader
-	d  xdr.Decoder
+	buf []byte // the payload br reads, for arrays located in place
+	br  bytes.Reader
+	d   xdr.Decoder
+	// The call codec's scratch, reused across decodes: the located
+	// values (see walk) and the parameters' element counts.
+	vals   []wireValue
+	counts []int
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(payloadDecoder) }}
@@ -36,13 +41,17 @@ var decoderPool = sync.Pool{New: func() any { return new(payloadDecoder) }}
 // acquireDecoder returns a pooled decoder positioned at the start of p.
 func acquireDecoder(p []byte) *payloadDecoder {
 	pd := decoderPool.Get().(*payloadDecoder)
+	pd.buf = p
 	pd.br.Reset(p)
 	pd.d.Reset(&pd.br)
 	return pd
 }
 
 func (pd *payloadDecoder) release() {
+	pd.buf = nil
 	pd.br.Reset(nil)
+	clear(pd.vals) // drop payload and value references
+	pd.vals = pd.vals[:0]
 	decoderPool.Put(pd)
 }
 
@@ -278,110 +287,6 @@ func DecodeCallName(p []byte) (name string, rest []byte, err error) {
 	return name, p[n:], nil
 }
 
-// DecodeCallArgs decodes the in-shipping arguments of a call against
-// its interface, allocating zeroed values for out-only parameters so
-// the executable can fill them. Dimension expressions are evaluated
-// left to right as scalars arrive, exactly as Ninf_call's interpreter
-// does. Any deadline trailer is skipped; deadline-aware servers use
-// DecodeCallArgsDeadline.
-func DecodeCallArgs(info *idl.Info, rest []byte) ([]idl.Value, error) {
-	args, _, err := DecodeCallArgsDeadline(info, rest)
-	return args, err
-}
-
-// DecodeCallArgsDeadline is DecodeCallArgs plus the caller deadline
-// from the optional trailer: the absolute Unix-nanosecond deadline, or
-// zero when the client did not send one (older clients never do).
-func DecodeCallArgsDeadline(info *idl.Info, rest []byte) ([]idl.Value, int64, error) {
-	return DecodeCallArgsDeadlineBulk(info, rest, nil)
-}
-
-// DecodeCallArgsDeadlineBulk is DecodeCallArgsDeadline for a
-// reassembled bulk payload: rest must be the head remainder after
-// DecodeCallName (sliced to bulk.Head() by the caller) and bulk
-// supplies the full payload that marker offsets resolve against. With a
-// nil bulk it decodes monolithic payloads and rejects markers.
-func DecodeCallArgsDeadlineBulk(info *idl.Info, rest []byte, bulk *BulkInfo) ([]idl.Value, int64, error) {
-	return decodeCallArgsExt(info, rest, bulk, nil)
-}
-
-// DecodeCallArgsDeadlineRetainBulk is DecodeCallArgsDeadlineBulk plus
-// the optional result-retention trailer, stored through retainOut
-// (left false when the client sent none).
-func DecodeCallArgsDeadlineRetainBulk(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool) ([]idl.Value, int64, error) {
-	return decodeCallArgsExt(info, rest, bulk, retainOut)
-}
-
-func decodeCallArgsExt(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool) ([]idl.Value, int64, error) {
-	pd := acquireDecoder(rest)
-	defer pd.release()
-	d := &pd.d
-	args := make([]idl.Value, len(info.Params))
-	// First pass: decode in-shipping values in order. Scalars land in
-	// args as they are read so later dims can be evaluated.
-	for i := range info.Params {
-		p := &info.Params[i]
-		if !p.Mode.Ships(false) {
-			continue
-		}
-		count, err := paramCount(info, p, args)
-		if err != nil {
-			return nil, 0, err
-		}
-		v, err := decodeArg(d, p, count, bulk)
-		if err != nil {
-			return nil, 0, fmt.Errorf("protocol: %s argument %q: %w", info.Name, p.Name, err)
-		}
-		args[i] = v
-	}
-	// Second pass: allocate out-only parameters.
-	for i := range info.Params {
-		p := &info.Params[i]
-		if p.Mode != idl.Out {
-			continue
-		}
-		count, err := paramCount(info, p, args)
-		if err != nil {
-			return nil, 0, err
-		}
-		args[i] = zeroValue(p, count)
-	}
-	// Optional magic-tagged trailers after the args: the caller
-	// deadline ("NFDL", 12 bytes) and the result-retention flag
-	// ("NFRT", 8 bytes), in that encode order. Unknown magics end the
-	// scan, so future trailers are skipped, not misparsed.
-	var deadline int64
-	var retain bool
-trailers:
-	for d.Err() == nil {
-		switch rem := len(rest) - int(d.Len()); {
-		case rem >= 12:
-			switch d.Uint32() {
-			case callDeadlineMagic:
-				deadline = d.Int64()
-			case callRetainMagic:
-				retain = d.Uint32() != 0
-			default:
-				break trailers
-			}
-		case rem >= 8:
-			if d.Uint32() != callRetainMagic {
-				break trailers
-			}
-			retain = d.Uint32() != 0
-		default:
-			break trailers
-		}
-	}
-	if err := d.Err(); err != nil {
-		return nil, 0, err
-	}
-	if retainOut != nil {
-		*retainOut = retain
-	}
-	return args, deadline, nil
-}
-
 // EncodeCallReplyBuf serializes a MsgCallOK payload — server-side
 // timings followed by the out-shipping arguments — into a pooled frame
 // buffer. The caller owns the buffer and must Release it.
@@ -428,14 +333,6 @@ func EncodeCallReply(info *idl.Info, t Timings, args []idl.Value) ([]byte, error
 	p := append([]byte(nil), fb.Payload()...)
 	fb.Release()
 	return p, nil
-}
-
-// DecodeCallReply decodes a MsgCallOK payload. The returned slice has
-// one entry per parameter: out-shipping entries hold decoded values,
-// others are nil. callArgs supplies the scalar inputs needed to size
-// the out arrays.
-func DecodeCallReply(info *idl.Info, callArgs []idl.Value, p []byte) (Timings, []idl.Value, error) {
-	return DecodeCallReplyBulk(info, callArgs, p, nil)
 }
 
 // Timings carries the server-side timestamps the paper instruments
@@ -619,70 +516,17 @@ func DecodeStats(p []byte) (Stats, error) {
 	return m, err
 }
 
-// envPool recycles the per-decode expression environments, mirroring
-// the pool idl keeps for the encode side.
-var envPool = sync.Pool{New: func() any { return make(map[string]int64, 8) }}
-
-// paramCount evaluates one parameter's element count against the
-// scalar arguments decoded so far.
-func paramCount(info *idl.Info, p *idl.Param, args []idl.Value) (int, error) {
-	count := 1
-	env := scalarEnvSoFar(info, args)
-	defer func() {
-		clear(env)
-		envPool.Put(env)
-	}()
-	for _, dim := range p.Dims {
-		n, err := dim.Eval(env)
-		if err != nil {
-			return 0, fmt.Errorf("protocol: %s dimension of %q: %w", info.Name, p.Name, err)
-		}
-		if n < 0 {
-			return 0, fmt.Errorf("protocol: %s dimension of %q is negative", info.Name, p.Name)
-		}
-		count *= int(n)
-	}
-	return count, nil
-}
-
-func scalarEnvSoFar(info *idl.Info, args []idl.Value) map[string]int64 {
-	env := envPool.Get().(map[string]int64)
-	for i := range info.Params {
-		p := &info.Params[i]
-		if !p.IsScalar() || p.Type != idl.Int {
-			continue
-		}
-		switch v := args[i].(type) {
-		case int64:
-			env[p.Name] = v
-		case int:
-			env[p.Name] = int64(v)
-		}
-	}
-	return env
-}
-
-// zeroValue allocates the zero value for an out-only parameter.
-func zeroValue(p *idl.Param, count int) idl.Value {
-	if p.IsScalar() {
-		switch p.Type {
-		case idl.Int:
-			return int64(0)
-		case idl.Double:
-			return float64(0)
-		case idl.Float:
-			return float32(0)
-		case idl.String:
-			return ""
-		}
-	}
-	switch p.Type {
+// zeroScalar is the zero value of an out-only scalar parameter.
+func zeroScalar(t idl.Type) idl.Value {
+	switch t {
 	case idl.Int:
-		return make([]int64, count)
+		return int64(0)
 	case idl.Double:
-		return make([]float64, count)
+		return float64(0)
 	case idl.Float:
-		return make([]float32, count)
+		return float32(0)
+	case idl.String:
+		return ""
 	}
 	return nil
 }
@@ -758,47 +602,17 @@ func encodeArg(e *xdr.Encoder, p *idl.Param, count int, v idl.Value) error {
 	return e.Err()
 }
 
-// decodeArg reads one argument value per its IDL parameter. A non-nil
-// bulk switches arrays to bulk-mode decoding, where a marker word may
-// divert the element bytes to a segment of the reassembled payload.
-func decodeArg(d *xdr.Decoder, p *idl.Param, count int, bulk *BulkInfo) (idl.Value, error) {
-	if p.IsScalar() {
-		switch p.Type {
-		case idl.Int:
-			return d.Int64(), d.Err()
-		case idl.Double:
-			return d.Float64(), d.Err()
-		case idl.Float:
-			return d.Float32(), d.Err()
-		case idl.String:
-			return d.String(), d.Err()
-		}
-		return nil, fmt.Errorf("unsupported scalar type %v", p.Type)
-	}
-	if bulk != nil {
-		//lint:ninflint xdrsym — asymmetric by design: the matching marker is written by putBulkMarker in the chunked encoders, not by encodeArg
-		return decodeBulkArray(d, p, count, bulk)
-	}
+// decodeScalar reads one scalar argument per its IDL parameter.
+func decodeScalar(d *xdr.Decoder, p *idl.Param) (idl.Value, error) {
 	switch p.Type {
 	case idl.Int:
-		v := d.Int64s()
-		if d.Err() == nil && len(v) != count {
-			return nil, fmt.Errorf("array length %d, IDL dimensions give %d", len(v), count)
-		}
-		return v, d.Err()
+		return d.Int64(), d.Err()
 	case idl.Double:
-		v := d.Float64s()
-		if d.Err() == nil && len(v) != count {
-			return nil, fmt.Errorf("array length %d, IDL dimensions give %d", len(v), count)
-		}
-		return v, d.Err()
+		return d.Float64(), d.Err()
 	case idl.Float:
-		v := d.Float32s()
-		if d.Err() == nil && len(v) != count {
-			return nil, fmt.Errorf("array length %d, IDL dimensions give %d", len(v), count)
-		}
-		return v, d.Err()
-	default:
-		return nil, fmt.Errorf("unsupported array type %v", p.Type)
+		return d.Float32(), d.Err()
+	case idl.String:
+		return d.String(), d.Err()
 	}
+	return nil, fmt.Errorf("unsupported scalar type %v", p.Type)
 }

@@ -69,26 +69,16 @@ func TestCallRequestDeadlineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args, got, err := DecodeCallArgsDeadline(info, rest)
+	ca, err := DecodeCallArgs(info, rest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	args, got := ca.Args, ca.Deadline
 	if got != deadline {
 		t.Errorf("deadline = %d, want %d", got, deadline)
 	}
 	if !reflect.DeepEqual(args[1], a) || !reflect.DeepEqual(args[2], b) {
 		t.Error("array arguments corrupted by deadline trailer")
-	}
-
-	// The old decoder path must still parse the args, ignoring the
-	// trailer — a new client calling an old server loses the deadline
-	// but not the call.
-	oldArgs, err := DecodeCallArgs(info, rest)
-	if err != nil {
-		t.Fatalf("old-style decode with deadline trailer: %v", err)
-	}
-	if !reflect.DeepEqual(oldArgs[1], a) {
-		t.Error("old-style decode corrupted args")
 	}
 }
 
@@ -103,10 +93,11 @@ func TestCallRequestNoDeadlineUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, deadline, err := DecodeCallArgsDeadline(info, rest)
+	ca, err := DecodeCallArgs(info, rest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	deadline := ca.Deadline
 	if deadline != 0 {
 		t.Errorf("deadline = %d, want 0 for a v1-shaped request", deadline)
 	}

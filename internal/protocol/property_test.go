@@ -107,7 +107,7 @@ func TestRandomInterfaceRoundTrips(t *testing.T) {
 		if err != nil || name != info.Name {
 			t.Fatalf("trial %d: name: %v %q", trial, err, name)
 		}
-		decoded, err := DecodeCallArgs(info, rest)
+		decoded, err := decodeArgs(info, rest)
 		if err != nil {
 			t.Fatalf("trial %d: decode args: %v\n%s", trial, err, info)
 		}
@@ -160,7 +160,7 @@ func TestRandomInterfaceRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: encode reply: %v", trial, err)
 		}
-		tm, out, err := DecodeCallReply(info, args, reply)
+		tm, out, err := decodeReply(info, args, reply, nil)
 		if err != nil {
 			t.Fatalf("trial %d: decode reply: %v", trial, err)
 		}

@@ -135,7 +135,7 @@ func TestCallRequestRoundTrip(t *testing.T) {
 	if name != "dmmul" {
 		t.Errorf("name = %q", name)
 	}
-	args, err := DecodeCallArgs(info, rest)
+	args, err := decodeArgs(info, rest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCallReplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, out, err := DecodeCallReply(info, callArgs, p)
+	tm, out, err := decodeReply(info, callArgs, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestInoutShipsBothWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args, err := DecodeCallArgs(info, rest)
+	args, err := decodeArgs(info, rest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestInoutShipsBothWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, out, err := DecodeCallReply(info, req.Args, reply)
+	_, out, err := decodeReply(info, req.Args, reply, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestDecodeCallArgsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Truncate mid-arguments.
-	if _, err := DecodeCallArgs(info, rest[:len(rest)-6]); err == nil {
+	if _, err := decodeArgs(info, rest[:len(rest)-6]); err == nil {
 		t.Error("truncated args decoded")
 	}
 }
@@ -348,7 +348,7 @@ func TestStringScalarParam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args, err := DecodeCallArgs(info, rest)
+	args, err := decodeArgs(info, rest)
 	if err != nil {
 		t.Fatal(err)
 	}

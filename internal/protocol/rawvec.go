@@ -2,8 +2,9 @@ package protocol
 
 import (
 	"encoding/binary"
-	"math"
 	"unsafe"
+
+	"ninf/internal/idl"
 )
 
 // Raw vector views for the chunked bulk path. XDR ships arrays
@@ -22,93 +23,61 @@ var hostLittle = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// f64Bytes views a []float64 as its raw native-order bytes. The view
-// aliases v: the caller must not let it outlive v or mutate v while the
-// view is referenced by an in-flight write.
-func f64Bytes(v []float64) []byte {
-	if len(v) == 0 {
-		return nil
+// rawView views a numeric array ([]float64, []float32 or []int64) as
+// its raw native-order bytes and reports the array's IDL element type;
+// ok is false for any other value. The view aliases v: the caller must
+// not let it outlive v or mutate v while the view is referenced by an
+// in-flight write.
+func rawView(v any) (b []byte, t idl.Type, ok bool) {
+	var p unsafe.Pointer
+	var n int
+	switch x := v.(type) {
+	case []float64:
+		p, n, t = unsafe.Pointer(unsafe.SliceData(x)), len(x)*8, idl.Double
+	case []float32:
+		p, n, t = unsafe.Pointer(unsafe.SliceData(x)), len(x)*4, idl.Float
+	case []int64:
+		p, n, t = unsafe.Pointer(unsafe.SliceData(x)), len(x)*8, idl.Int
+	default:
+		return nil, 0, false
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
-}
-
-// f32Bytes views a []float32 as its raw native-order bytes.
-func f32Bytes(v []float32) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*4)
-}
-
-// i64Bytes views a []int64 as its raw native-order bytes.
-func i64Bytes(v []int64) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
-}
-
-// decodeRawFloat64s materializes doubles from a bulk segment holding
-// raw element bytes in the sender's order (le). Matching orders cost
-// one memmove; a foreign order decodes element-wise.
-func decodeRawFloat64s(src []byte, le bool) []float64 {
-	n := len(src) / 8
-	out := make([]float64, n)
 	if n == 0 {
-		return out
+		return nil, t, true
 	}
-	if le == hostLittle {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n*8), src)
-		return out
-	}
-	ord := foreignOrder(le)
-	for i := range out {
-		out[i] = math.Float64frombits(ord.Uint64(src[i*8:]))
-	}
-	return out
+	return unsafe.Slice((*byte)(p), n), t, true
 }
 
-// decodeRawFloat32s materializes single floats from a bulk segment.
-func decodeRawFloat32s(src []byte, le bool) []float32 {
-	n := len(src) / 4
-	out := make([]float32, n)
-	if n == 0 {
-		return out
+// viewArray views raw element storage as an array of type t (Int,
+// Double or Float). The view aliases raw.
+func viewArray(t idl.Type, raw []byte) idl.Value {
+	p := unsafe.Pointer(unsafe.SliceData(raw))
+	switch t {
+	case idl.Double:
+		return unsafe.Slice((*float64)(p), len(raw)/8)
+	case idl.Float:
+		return unsafe.Slice((*float32)(p), len(raw)/4)
+	default:
+		return unsafe.Slice((*int64)(p), len(raw)/8)
 	}
-	if le == hostLittle {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n*4), src)
-		return out
-	}
-	ord := foreignOrder(le)
-	for i := range out {
-		out[i] = math.Float32frombits(ord.Uint32(src[i*4:]))
-	}
-	return out
 }
 
-// decodeRawInt64s materializes 64-bit integers from a bulk segment.
-func decodeRawInt64s(src []byte, le bool) []int64 {
-	n := len(src) / 8
-	out := make([]int64, n)
-	if n == 0 {
-		return out
+// reorder copies element bytes src, stored in byte order fromLE, into
+// dst in byte order toLE. Matching orders cost one memmove; otherwise
+// each elem-byte element is swapped on the way (a swap is its own
+// inverse, so one loop serves both directions).
+func reorder(dst, src []byte, fromLE, toLE bool, elem int) {
+	if fromLE == toLE {
+		copy(dst, src)
+		return
 	}
-	if le == hostLittle {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n*8), src)
-		return out
+	dst = dst[:len(src)]
+	if elem == 4 {
+		for i := 0; i+4 <= len(src); i += 4 {
+			binary.LittleEndian.PutUint32(dst[i:], binary.BigEndian.Uint32(src[i:]))
+		}
+		return
 	}
-	ord := foreignOrder(le)
-	for i := range out {
-		out[i] = int64(ord.Uint64(src[i*8:]))
+	for i := 0; i+8 <= len(src); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.BigEndian.Uint64(src[i:]))
 	}
-	return out
-}
-
-// foreignOrder returns the binary.ByteOrder for segment data whose
-// sender order (le) differs from the host's.
-func foreignOrder(le bool) binary.ByteOrder {
-	if le {
-		return binary.LittleEndian
-	}
-	return binary.BigEndian
 }

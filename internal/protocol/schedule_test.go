@@ -77,7 +77,7 @@ Define mix(mode_in int n,
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeCallArgs(info, rest)
+	decoded, err := decodeArgs(info, rest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ Define mix(mode_in int n,
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, out, err := DecodeCallReply(info, args, reply)
+	_, out, err := decodeReply(info, args, reply, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFloat64ScalarAndFloat32Conversion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rest, _ := DecodeCallName(p)
-	decoded, err := DecodeCallArgs(info, rest)
+	decoded, err := decodeArgs(info, rest)
 	if err != nil {
 		t.Fatal(err)
 	}

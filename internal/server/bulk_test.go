@@ -65,7 +65,7 @@ func TestMuxBulkCallRoundTrip(t *testing.T) {
 		t.Fatal("large reply was not chunked")
 	}
 	p := bulk.Head()
-	_, out, err := protocol.DecodeCallReplyBulk(info, vals, p, bulk)
+	_, out, err := decodeReply(info, vals, p, bulk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestMuxBulkReplyDisabled(t *testing.T) {
 	if bulk != nil {
 		t.Fatal("reply chunked despite disabled threshold")
 	}
-	_, out, err := protocol.DecodeCallReply(info, vals, fb.Payload())
+	_, out, err := decodeReply(info, vals, fb.Payload(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestMuxBulkSubmitFetch(t *testing.T) {
 		if bulk == nil {
 			t.Fatal("large fetch reply was not chunked")
 		}
-		_, out, err := protocol.DecodeCallReply(info, vals, bulk.Head())
+		_, out, err := decodeReply(info, vals, bulk.Head(), nil)
 		fb.Release()
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +225,7 @@ func TestMuxBulkMixedPipeline(t *testing.T) {
 				errs <- errStr("mixed: bulk call reply " + rt.String())
 				return
 			}
-			_, out, err := protocol.DecodeCallReplyBulk(info, vals, bulk.Head(), bulk)
+			_, out, err := decodeReply(info, vals, bulk.Head(), bulk)
 			if err != nil {
 				errs <- err
 				return
@@ -307,3 +307,156 @@ func TestMuxBulkConnCutMidReassembly(t *testing.T) {
 type errStr string
 
 func (e errStr) Error() string { return string(e) }
+
+// cutConn is a write-only net.Conn that accepts left bytes and then
+// fails every write, modelling a peer that vanished mid-reply. A
+// negative left never fails.
+type cutConn struct {
+	left int
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if c.left < 0 {
+		return len(p), nil
+	}
+	if len(p) > c.left {
+		n := c.left
+		c.left = 0
+		return n, net.ErrClosed
+	}
+	c.left -= len(p)
+	return len(p), nil
+}
+
+func (c *cutConn) Read([]byte) (int, error)         { return 0, net.ErrClosed }
+func (c *cutConn) Close() error                     { return nil }
+func (c *cutConn) LocalAddr() net.Addr              { return nil }
+func (c *cutConn) RemoteAddr() net.Addr             { return nil }
+func (c *cutConn) SetDeadline(time.Time) error      { return nil }
+func (c *cutConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *cutConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestMuxBulkAbortedReplyRunsNoSentHook pins the writer's side of the
+// pooled-array contract: a chunked reply's sent hook (which returns
+// the task's result arrays to the pool) runs exactly once after a
+// complete write and never when the connection breaks first, wherever
+// the break falls, so an aborted reply can return nothing twice.
+func TestMuxBulkAbortedReplyRunsNoSentHook(t *testing.T) {
+	s := New(Config{}, NewRegistry())
+	defer s.Close()
+	payload := make([]byte, 2*protocol.DefaultBulkChunk+100)
+	for _, cut := range []int{0, 20, 16 + 24 + 1000, protocol.DefaultBulkChunk + 500, -1} {
+		hooks := 0
+		replies := make(chan muxReply, 1)
+		s.replyPending()
+		replies <- muxReply{seq: 1, t: protocol.MsgCallOK,
+			bulk: protocol.RawBulkMsg(protocol.MsgCallOK, payload),
+			sent: func() { hooks++ }}
+		close(replies)
+		s.muxWriteLoop(&cutConn{left: cut}, replies, func() int { return 0 })
+		if want := map[bool]int{true: 1, false: 0}[cut < 0]; hooks != want {
+			t.Fatalf("cut at %d: sent hook ran %d times, want %d", cut, hooks, want)
+		}
+	}
+}
+
+// TestMuxBulkAbortedReplyKeepsPoolSound: clients that vanish while
+// their chunked result streams leave its arrays to the garbage
+// collector. Afterwards the pool hands out distinct buffers and a
+// fresh session's concurrent calls get their own results.
+func TestMuxBulkAbortedReplyKeepsPoolSound(t *testing.T) {
+	reg, _ := testRegistry(t)
+	s := New(Config{PEs: 2, BulkThreshold: 1024}, reg)
+	defer s.Close()
+	info := reg.Lookup("double_it").Info
+	const n = 64 << 10 // 512 KiB result: pooled, and chunked
+	for round := 0; round < 4; round++ {
+		cc, sc := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.ServeConn(sc)
+		}()
+		if version, err := mux.Negotiate(cc, 0); err != nil || version < protocol.MuxVersionBulk {
+			t.Fatalf("negotiate: %d %v", version, err)
+		}
+		req, err := protocol.EncodeCallRequestBuf(info, &protocol.CallRequest{
+			Name: "double_it", Args: []idl.Value{int64(n), bigVec(n), nil}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = protocol.WriteMuxFrameBuf(cc, protocol.MsgCall, 1, req)
+		req.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, _, size, err := protocol.ReadMuxHeader(cc, 0)
+		if err != nil || typ != protocol.MsgBulkBegin {
+			t.Fatalf("reply header: %v %v", typ, err)
+		}
+		fb, err := protocol.ReadMuxPayload(cc, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb.Release()
+		cc.Close() // vanish before the first chunk
+		<-done
+	}
+	seen := make(map[*protocol.Buffer]bool)
+	var held []*protocol.Buffer
+	for i := 0; i < 32; i++ {
+		fb := protocol.AcquireBuffer(8*n - 16) // the result array's class
+		if seen[fb] {
+			t.Fatal("pool handed out one buffer twice")
+		}
+		seen[fb] = true
+		held = append(held, fb)
+	}
+	for _, fb := range held {
+		fb.Release()
+	}
+
+	sess := bulkSession(t, s)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			v := bigVec(n)
+			v[0] = float64(g)
+			vals := []idl.Value{int64(n), v, nil}
+			m, err := protocol.EncodeCallRequestChunks(info, &protocol.CallRequest{Name: "double_it", Args: vals}, 1024)
+			if err != nil {
+				errs <- err
+				return
+			}
+			rt, fb, bulk, err := sess.RoundtripBulk(context.Background(), m)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer fb.Release()
+			if rt != protocol.MsgCallOK || bulk == nil {
+				errs <- errStr("aborted-pool: reply " + rt.String())
+				return
+			}
+			_, out, err := decodeReply(info, vals, bulk.Head(), bulk)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for k, w := range out[2].([]float64) {
+				if w != 2*v[k] {
+					errs <- errStr("aborted-pool: result corrupted")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -198,16 +198,21 @@ func (c *argCache) retainLE(b []byte) {
 // retainResults inserts a completed call's large out/inout arrays, so
 // a retention-requesting client can reference them by digest from a
 // later call on this server (the transaction handle-chaining path).
-func (c *argCache) retainResults(info *idl.Info, args []idl.Value, threshold int) {
+// The cache aliases what it is handed, so each such array leaves the
+// call's pooled ownership for good.
+//
+//ninflint:owner borrow — disowns the arrays the cache keeps; the task still releases the rest
+func (c *argCache) retainResults(info *idl.Info, ca *protocol.CallArgs, threshold int) {
 	for i := range info.Params {
 		p := &info.Params[i]
 		if !p.Mode.Ships(true) {
 			continue
 		}
-		b, ok := protocol.ValueLEBytes(args[i])
+		b, ok := protocol.ValueLEBytes(ca.Args[i])
 		if !ok || len(b) < threshold {
 			continue
 		}
+		ca.Disown(i)
 		c.retainLE(b)
 	}
 }

@@ -71,7 +71,7 @@ func TestJournalRestoresCompletedResult(t *testing.T) {
 	}
 	info := reg.Lookup("double_it").Info
 	vals := []idl.Value{int64(2), []float64{3, 4}, nil}
-	_, out, err := protocol.DecodeCallReplyBulk(info, vals, rp, nil)
+	_, out, err := decodeReply(info, vals, rp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestJournalOversizedResultReexecutes(t *testing.T) {
 	}
 	info := reg.Lookup("double_it").Info
 	vals := []idl.Value{int64(10), in, nil}
-	_, out, err := protocol.DecodeCallReplyBulk(info, vals, rp, nil)
+	_, out, err := decodeReply(info, vals, rp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,9 @@ const DefaultMuxConcurrency = 64
 // replies) or bulk (chunk-streamed reply) is used; bulk wins when set.
 // sent, when non-nil, runs after the reply is confirmed written — the
 // hook fetch uses to keep its job until the reply is really on the
-// wire (a reply lost with the session must leave the job fetchable).
+// wire (a reply lost with the session must leave the job fetchable),
+// and a chunked call reply uses to return its pooled arrays. It never
+// runs for a reply lost with the connection.
 type muxReply struct {
 	seq  uint32
 	t    protocol.MsgType
@@ -408,11 +410,13 @@ func muxErrReplyHint(code uint32, detail string, retryAfterMillis uint32) (proto
 // a complete frame buffer, or a BulkMsg for the writer to stream
 // chunked. It owns fb and releases it once the payload is decoded
 // (bulk requests included: admit copies every argument out of the
-// reassembly buffer). bulk carries the segment metadata of a
-// reassembled chunked request; bulkOK says the peer accepts chunked
-// replies. It runs on a dispatch goroutine: any number of these
-// proceed concurrently on one connection, so nothing here may touch
-// the connection — replies go back through the serialized writer.
+// reassembly buffer). A chunked Call reply carries the task's sent
+// hook, which returns the result arrays its spans alias to the pool.
+// bulk carries the segment metadata of a reassembled chunked request;
+// bulkOK says the peer accepts chunked replies. It runs on a dispatch
+// goroutine: any number of these proceed concurrently on one
+// connection, so nothing here may touch the connection — replies go
+// back through the serialized writer.
 //
 // Blocking calls run without a callback invoker: the connection
 // carries interleaved sequenced frames, not the quiet parked stream
@@ -476,17 +480,22 @@ func (s *Server) muxReplyFor(client string, typ protocol.MsgType, fb *protocol.B
 		}
 		if bulkOK {
 			// Large results stream back chunked; the BulkMsg's segment
-			// spans alias t.args, which stay live (and unmutated — the
-			// task is complete) until the writer finishes with them.
-			bm, err := protocol.EncodeCallReplyChunks(t.ex.Info, t.timings, t.args, s.bulkThreshold())
+			// spans alias the task's arrays, which stay live (and
+			// unmutated — the task is complete) until the writer is done
+			// with them and the sent hook returns them to the pool. A
+			// broken connection never runs the hook and leaves them to
+			// the garbage collector.
+			bm, err := protocol.EncodeCallReplyChunks(t.ex.Info, t.timings, t.call.Args, s.bulkThreshold())
 			if err != nil {
+				t.releaseArgs()
 				return muxErrReply(protocol.CodeInternal, err.Error())
 			}
 			if bm != nil {
-				return protocol.MsgCallOK, nil, bm, nil
+				return protocol.MsgCallOK, nil, bm, t.releaseArgs
 			}
 		}
-		reply, err := protocol.EncodeCallReplyBuf(t.ex.Info, t.timings, t.args)
+		reply, err := protocol.EncodeCallReplyBuf(t.ex.Info, t.timings, t.call.Args)
+		t.releaseArgs() // the reply frame holds its own copy
 		if err != nil {
 			return muxErrReply(protocol.CodeInternal, err.Error())
 		}

@@ -131,7 +131,7 @@ func TestMuxConcurrentCallsDemux(t *testing.T) {
 				errs <- errors.New("reply " + rt.String())
 				return
 			}
-			_, out, err := protocol.DecodeCallReply(info, vals, fb.Payload())
+			_, out, err := decodeReply(info, vals, fb.Payload(), nil)
 			if err != nil {
 				errs <- err
 				return
@@ -231,7 +231,7 @@ func TestMuxSubmitFetch(t *testing.T) {
 		if rt != protocol.MsgFetchOK {
 			t.Fatalf("fetch over mux: %v", rt)
 		}
-		_, out, err := protocol.DecodeCallReply(info, vals, fb.Payload())
+		_, out, err := decodeReply(info, vals, fb.Payload(), nil)
 		fb.Release()
 		if err != nil {
 			t.Fatal(err)

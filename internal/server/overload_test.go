@@ -243,7 +243,7 @@ func TestDrainFinishesWorkRejectsNew(t *testing.T) {
 			return
 		}
 		info := reg.Lookup("double_it").Info
-		_, out, err := protocol.DecodeCallReply(info, []idl.Value{int64(1), []float64{21}, nil}, p)
+		_, out, err := decodeReply(info, []idl.Value{int64(1), []float64{21}, nil}, p, nil)
 		if err != nil {
 			fetched <- nil
 			return

@@ -13,7 +13,9 @@ import (
 // receives the decoded argument vector (one entry per IDL parameter;
 // out-only entries pre-allocated and zeroed) and mutates out and inout
 // values in place. The context is cancelled if the client disconnects
-// or the server shuts down.
+// or the server shuts down. Large arrays in args use pooled storage
+// that is reused once the reply is sent, so a handler must not keep
+// them after it returns; copy what must outlive the call.
 type Handler func(ctx context.Context, args []idl.Value) error
 
 // An Executable is a registered routine: its compiled interface plus

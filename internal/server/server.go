@@ -176,7 +176,7 @@ type Server struct {
 type task struct {
 	job  sched.Job
 	ex   *Executable
-	args []idl.Value
+	call *protocol.CallArgs // decoded arguments; owns their pooled arrays
 	ctx  context.Context
 
 	timings protocol.Timings
@@ -215,6 +215,15 @@ func (t *task) releasePins() {
 		t.pins.release()
 		t.pins = nil
 	}
+}
+
+// releaseArgs hands the task's pooled argument arrays back once
+// nothing reads them: after the reply is encoded (a chunked reply:
+// after the writer is done with its spans), after a two-phase result
+// is pre-encoded, and when the task fails or is shed. Idempotent.
+func (t *task) releaseArgs() {
+	t.call.Release()
+	t.call = nil
 }
 
 // failCode is the MsgError code for a failed task.
@@ -444,25 +453,24 @@ func (s *Server) replayTaskLocked(r *protocol.JournalRecord) (*task, error) {
 	if ex == nil {
 		return nil, fmt.Errorf("no routine %q", name)
 	}
-	var retain bool
-	args, deadline, err := protocol.DecodeCallArgsDeadlineRetainBulk(ex.Info, rest, nil, &retain)
+	ca, err := protocol.DecodeCallArgs(ex.Info, rest, nil)
 	if err != nil {
 		return nil, err
 	}
 	t := &task{
 		ex:       ex,
-		args:     args,
+		call:     ca,
 		ctx:      s.baseCtx,
 		done:     make(chan struct{}),
 		twoPhase: true,
 		reqBytes: int64(len(r.Payload)),
-		deadline: deadline,
+		deadline: ca.Deadline,
 		client:   r.Client,
 		key:      r.Key,
-		retain:   retain && s.cache != nil,
+		retain:   ca.Retain && s.cache != nil,
 	}
 	t.job.PEs = s.peAllocation(ex)
-	if ops, ok := ex.Info.PredictedOps(args); ok {
+	if ops, ok := ex.Info.PredictedOps(ca.Args); ok {
 		t.job.PredictedOps = ops
 	} else if d := s.trace.predictCompute(name); d > 0 {
 		t.job.PredictedOps = int64(d)
@@ -848,7 +856,8 @@ func (s *Server) dispatch(conn net.Conn, client string, typ protocol.MsgType, fb
 		if t.err != nil {
 			return s.sendErrorHint(conn, t.failCode(), t.err.Error(), t.retryAfter)
 		}
-		reply, err := protocol.EncodeCallReplyBuf(t.ex.Info, t.timings, t.args)
+		reply, err := protocol.EncodeCallReplyBuf(t.ex.Info, t.timings, t.call.Args)
+		t.releaseArgs() // the reply frame holds its own copy
 		if err != nil {
 			return s.sendError(conn, protocol.CodeInternal, err.Error())
 		}
@@ -912,9 +921,10 @@ func (s *Server) sendErrorHint(conn net.Conn, code uint32, detail string, retryA
 //
 // A non-nil bulk means payload came from a reassembled chunked
 // request: payload is then the XDR head (already sliced by the caller)
-// and bulk supplies the raw segments its marker words point into. The
-// decoded arguments are always copies, so the caller may release the
-// reassembly buffer as soon as admit returns.
+// and bulk supplies the raw segments its marker words point into.
+// Arguments are copied out of payload and bulk once, into arrays the
+// task owns (large ones pooled; see task.releaseArgs), so the caller
+// may release the frame or reassembly buffer as soon as admit returns.
 func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, ctx context.Context, key uint64, client string) (*task, uint32, uint32, error) {
 	if ctx == nil {
 		ctx = s.baseCtx
@@ -926,11 +936,18 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 	if bulk != nil {
 		pins, _ = bulk.Resolver.(*callPins)
 	}
+	// Likewise the decoded arguments: a call that is not admitted
+	// returns their pooled arrays here.
+	var ca *protocol.CallArgs
 	adopted := false
 	defer func() {
-		if !adopted && pins != nil {
+		if adopted {
+			return
+		}
+		if pins != nil {
 			pins.release()
 		}
+		ca.Release()
 	}()
 	name, rest, err := protocol.DecodeCallName(payload)
 	if err != nil {
@@ -940,8 +957,7 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 	if ex == nil {
 		return nil, protocol.CodeUnknownRoutine, 0, fmt.Errorf("no routine %q", name)
 	}
-	var retain bool
-	args, deadline, err := protocol.DecodeCallArgsDeadlineRetainBulk(ex.Info, rest, bulk, &retain)
+	ca, err = protocol.DecodeCallArgs(ex.Info, rest, bulk)
 	if err != nil {
 		if errors.Is(err, protocol.ErrDigestMiss) {
 			// The referenced cache entry was evicted between the client's
@@ -964,7 +980,7 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 	if twoPhase && s.journal != nil {
 		var jerr error
 		jrec, jerr = journalSubmitRecord(ex.Info,
-			&protocol.CallRequest{Name: name, Args: args, Deadline: deadline, Retain: retain},
+			&protocol.CallRequest{Name: name, Args: ca.Args, Deadline: ca.Deadline, Retain: ca.Retain},
 			key, client)
 		if jerr != nil {
 			s.logf("ninf server: journal: encode submit: %v", jerr)
@@ -973,18 +989,18 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 	pes := s.peAllocation(ex)
 	t := &task{
 		ex:       ex,
-		args:     args,
+		call:     ca,
 		ctx:      ctx,
 		done:     make(chan struct{}),
 		twoPhase: twoPhase,
 		reqBytes: reqBytes,
-		deadline: deadline,
+		deadline: ca.Deadline,
 		client:   client,
 		pins:     pins,
-		retain:   retain && s.cache != nil,
+		retain:   ca.Retain && s.cache != nil,
 	}
 	t.job.PEs = pes
-	if ops, ok := ex.Info.PredictedOps(args); ok {
+	if ops, ok := ex.Info.PredictedOps(ca.Args); ok {
 		t.job.PredictedOps = ops
 	} else if d := s.trace.predictCompute(name); d > 0 {
 		// §5.1 fallback: no Complexity clause in the IDL, so predict
@@ -1018,7 +1034,7 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 		s.rejectedDraining.Add(1)
 		return nil, protocol.CodeOverloaded, hint, errors.New("server draining")
 	}
-	if !s.cfg.DisableShedding && deadline != 0 {
+	if deadline := ca.Deadline; !s.cfg.DisableShedding && deadline != 0 {
 		if deadline <= now.UnixNano() {
 			hint := s.retryAfterLocked()
 			s.mu.Unlock()
@@ -1155,6 +1171,7 @@ func (s *Server) schedule() {
 				s.acct.jobAbandoned(time.Now())
 				s.clientDequeuedLocked(t)
 				t.releasePins()
+				t.releaseArgs()
 				close(t.done)
 			}
 			s.queue = nil
@@ -1205,9 +1222,9 @@ func (s *Server) shedExpiredLocked() {
 		s.shedExpired.Add(1)
 		if t.twoPhase {
 			t.expire = time.Now().Add(s.cfg.JobTTL)
-			t.args = nil
 		}
 		t.releasePins()
+		t.releaseArgs()
 		close(t.done)
 		shed = true
 	}
@@ -1232,8 +1249,8 @@ func (s *Server) run(t *task) {
 	if err == nil && t.retain && s.cache != nil {
 		// The client asked for result retention: cache large out/inout
 		// arrays so its next call here can reference them by digest
-		// (transaction handle chaining) before twoPhase drops t.args.
-		s.cache.retainResults(t.ex.Info, t.args, s.cacheThreshold())
+		// (transaction handle chaining) before twoPhase drops the args.
+		s.cache.retainResults(t.ex.Info, t.call, s.cacheThreshold())
 	}
 	s.trace.record(t.ex.Info.Name,
 		time.Duration(t.timings.Dequeue-t.timings.Enqueue),
@@ -1257,13 +1274,13 @@ func (s *Server) run(t *task) {
 		// Pre-encode the reply so fetch is cheap and argument
 		// buffers can be released.
 		if err == nil {
-			if p, encErr := protocol.EncodeCallReply(t.ex.Info, t.timings, t.args); encErr == nil {
+			if p, encErr := protocol.EncodeCallReply(t.ex.Info, t.timings, t.call.Args); encErr == nil {
 				t.reply = p
 			} else {
 				t.err = encErr
 			}
 		}
-		t.args = nil
+		t.releaseArgs()
 		if s.journal != nil {
 			jrec := &protocol.JournalRecord{Kind: protocol.JournalComplete, JobID: t.job.ID}
 			if t.err != nil {
@@ -1276,6 +1293,10 @@ func (s *Server) run(t *task) {
 			// replay re-executes the job rather than bloating the WAL.
 			s.journalAppendLocked(jrec)
 		}
+	}
+	if t.err != nil {
+		// A failed call replies with its error alone.
+		t.releaseArgs()
 	}
 	s.schedule()
 	s.cond.Broadcast()
@@ -1294,7 +1315,7 @@ func (s *Server) execute(t *task) (err error) {
 			err = fmt.Errorf("executable %s panicked: %v", t.ex.Info.Name, r)
 		}
 	}()
-	return t.ex.Handler(t.ctx, t.args)
+	return t.ex.Handler(t.ctx, t.call.Args)
 }
 
 // fetch answers a MsgFetch: not-ready, error, or the retained reply.

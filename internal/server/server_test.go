@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -175,7 +176,7 @@ func TestBlockingCall(t *testing.T) {
 		t.Fatalf("call → %v: %s", typ, p)
 	}
 	info := reg.Lookup("double_it").Info
-	tm, out, err := protocol.DecodeCallReply(info, []idl.Value{int64(3), []float64{1, 2, 3}, nil}, p)
+	tm, out, err := decodeReply(info, []idl.Value{int64(3), []float64{1, 2, 3}, nil}, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,4 +724,48 @@ func TestExecModeString(t *testing.T) {
 		t.Error("unknown mode empty")
 	}
 	_ = fmt.Sprintf("%v %v", TaskParallel, DataParallel)
+}
+
+// decodeReply decodes a reply into fresh destinations sized from
+// callArgs and returns the results positionally: arrays as slices,
+// scalars by value, nil for parameters that do not ship back.
+func decodeReply(info *idl.Info, callArgs []idl.Value, p []byte, bulk *protocol.BulkInfo) (protocol.Timings, []idl.Value, error) {
+	counts, err := info.DimSizes(callArgs)
+	if err != nil {
+		return protocol.Timings{}, nil, err
+	}
+	dst := make([]any, len(info.Params))
+	for i := range info.Params {
+		pa := &info.Params[i]
+		switch {
+		case !pa.Mode.Ships(true):
+		case !pa.IsScalar() && pa.Type == idl.Int:
+			dst[i] = make([]int64, counts[i])
+		case !pa.IsScalar() && pa.Type == idl.Float:
+			dst[i] = make([]float32, counts[i])
+		case !pa.IsScalar():
+			dst[i] = make([]float64, counts[i])
+		case pa.Type == idl.Int:
+			dst[i] = new(int64)
+		case pa.Type == idl.Float:
+			dst[i] = new(float32)
+		case pa.Type == idl.String:
+			dst[i] = new(string)
+		default:
+			dst[i] = new(float64)
+		}
+	}
+	tm, err := protocol.DecodeCallReplyInto(info, callArgs, p, bulk, dst)
+	if err != nil {
+		return tm, nil, err
+	}
+	out := make([]idl.Value, len(dst))
+	for i, d := range dst {
+		if v := reflect.ValueOf(d); v.Kind() == reflect.Pointer {
+			out[i] = v.Elem().Interface()
+		} else {
+			out[i] = d
+		}
+	}
+	return tm, out, nil
 }

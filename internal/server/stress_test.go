@@ -84,8 +84,8 @@ Define fail(mode_in int n) Calls "go" fail(n);
 						errCh <- fmt.Errorf("call: %v %v", typ, err)
 						return
 					}
-					_, out, err := protocol.DecodeCallReply(workEx.Info,
-						[]idl.Value{int64(n), v, nil}, rp)
+					_, out, err := decodeReply(workEx.Info,
+						[]idl.Value{int64(n), v, nil}, rp, nil)
 					if err != nil {
 						errCh <- err
 						return

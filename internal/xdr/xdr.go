@@ -13,6 +13,7 @@
 package xdr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -412,6 +413,37 @@ func (d *Decoder) chunk() []byte {
 		d.bulk = make([]byte, 8192)
 	}
 	return d.bulk
+}
+
+// Skip consumes n bytes without decoding them: the element bytes of
+// an array the caller reads (or discards) straight from the payload. A
+// bytes.Reader source seeks past them; any other reader is drained
+// through the chunk buffer.
+func (d *Decoder) Skip(n int) {
+	if d.err != nil {
+		return
+	}
+	if n < 0 {
+		d.err = fmt.Errorf("%w: %d", ErrNegativeLen, n)
+		return
+	}
+	if br, ok := d.r.(*bytes.Reader); ok {
+		if n > br.Len() {
+			d.err = fmt.Errorf("xdr: read: %w", io.ErrUnexpectedEOF)
+			return
+		}
+		br.Seek(int64(n), io.SeekCurrent) // cannot fail: n is in range
+		d.n += int64(n)
+		return
+	}
+	buf := d.chunk()
+	for n > 0 {
+		m := min(n, len(buf))
+		if !d.read(buf[:m]) {
+			return
+		}
+		n -= m
+	}
 }
 
 // Float64s decodes a counted vector of doubles.

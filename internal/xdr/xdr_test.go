@@ -183,6 +183,37 @@ func TestReadFloat64sInto(t *testing.T) {
 	}
 }
 
+func TestSkip(t *testing.T) {
+	var enc bytes.Buffer
+	e := NewEncoder(&enc)
+	e.PutFloat64s([]float64{1, 2, 3})
+	e.PutUint32(7)
+	wire := enc.Bytes()
+
+	// A bytes.Reader seeks; any other reader drains through the chunk
+	// buffer. Both must land on the word after the skipped elements.
+	for name, r := range map[string]func() io.Reader{
+		"seek":  func() io.Reader { return bytes.NewReader(wire) },
+		"drain": func() io.Reader { return bytes.NewBuffer(append([]byte(nil), wire...)) },
+	} {
+		d := NewDecoder(r())
+		if n := d.Uint32(); n != 3 {
+			t.Fatalf("%s: count %d", name, n)
+		}
+		d.Skip(24)
+		if v := d.Uint32(); d.Err() != nil || v != 7 {
+			t.Fatalf("%s: after skip got %d, %v", name, v, d.Err())
+		}
+		if d.Len() != int64(len(wire)) {
+			t.Fatalf("%s: Len %d, want %d", name, d.Len(), len(wire))
+		}
+		d.Skip(1)
+		if d.Err() == nil {
+			t.Fatalf("%s: skip past the end not detected", name)
+		}
+	}
+}
+
 func TestQuickRoundTripFloat64s(t *testing.T) {
 	f := func(v []float64) bool {
 		var buf bytes.Buffer

@@ -466,10 +466,11 @@ func (j *Job) muxFetch(ctx context.Context) (*Report, bool, error) {
 	return rep, true, err
 }
 
-// finishCall decodes one call reply (mux or lockstep) into the
-// caller's destinations, consuming the reply buffer. A non-nil bulk
-// means the reply was a reassembled chunked message: the XDR head is
-// its prefix and marked arrays decode from raw segments.
+// finishCall decodes one call reply (mux or lockstep) straight into
+// the caller's destinations, consuming the reply buffer; a reply that
+// fails to decode leaves them untouched. A non-nil bulk means the reply
+// was a reassembled chunked message: the XDR head is its prefix and
+// marked arrays decode from raw segments.
 func finishCall(rep *Report, info *idl.Info, vals []idl.Value, args []any, t protocol.MsgType, reply *protocol.Buffer, bulk *protocol.BulkInfo) (*Report, error) {
 	defer reply.Release()
 	if t != protocol.MsgCallOK {
@@ -481,16 +482,13 @@ func finishCall(rep *Report, info *idl.Info, vals []idl.Value, args []any, t pro
 	if bulk != nil {
 		p = bulk.Head()
 	}
-	tm, out, err := protocol.DecodeCallReplyBulk(info, vals, p, bulk)
+	tm, err := protocol.DecodeCallReplyInto(info, vals, p, bulk, args)
 	if err != nil {
 		return nil, err
 	}
 	rep.Enqueue = time.Unix(0, tm.Enqueue)
 	rep.Dequeue = time.Unix(0, tm.Dequeue)
 	rep.Complete = time.Unix(0, tm.Complete)
-	if err := storeResults(info, args, out); err != nil {
-		return nil, err
-	}
 	return rep, nil
 }
 
