@@ -3,8 +3,9 @@ package ninf_test
 // BenchmarkMuxVsLockstep: the paper's §4 multi-client question asked
 // of our own data plane. The sweep drives 1/4/16/64 concurrent callers
 // with 8B/64KiB/8MiB argument vectors over loopback TCP against one
-// server, once with the multiplexed session and once pinned to the
-// lockstep pooled path, and reports calls/s per cell. The
+// server, once over one shared multiplexed session and once against a
+// DisableMux server with one lockstep Client (one connection) per
+// caller — the paper's setup — and reports calls/s per cell. The
 // multiclient-mux experiment (cmd/ninfbench) runs the same sweep
 // outside the testing harness and records BENCH_multiclient.json.
 
@@ -65,23 +66,40 @@ func BenchmarkMuxVsLockstep(b *testing.B) {
 	}
 }
 
-// benchMuxCell runs b.N echo calls spread over nc concurrent callers.
+// benchMuxCell runs b.N echo calls spread over nc concurrent callers:
+// all on one Client for mux, one Client per caller against a
+// DisableMux server for lockstep, so lockstep loses on per-call
+// overhead, not on callers queueing for one connection.
 func benchMuxCell(b *testing.B, mux bool, nc, elems int) {
-	c, cleanup := benchClient(b, server.Config{PEs: 4})
-	defer cleanup()
-	c.SetMultiplexing(mux)
-	if !mux {
-		// Give the lockstep path its best shot: one pooled connection
-		// per concurrent caller, so the comparison is mux vs a
-		// fully-provisioned pool, not mux vs pool starvation.
-		c.SetPoolSize(nc)
-	}
-	warm := make([]float64, elems)
-	if _, err := c.Call("echo", elems, warm, make([]float64, elems)); err != nil {
+	reg, err := library.NewRegistry()
+	if err != nil {
 		b.Fatal(err)
 	}
-	if c.Multiplexed() != mux {
-		b.Fatalf("client multiplexed = %v, want %v", c.Multiplexed(), mux)
+	s := server.New(server.Config{PEs: 4, DisableMux: !mux}, reg)
+	defer s.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go s.Serve(l)
+	clients := make([]*ninf.Client, 1)
+	if !mux {
+		clients = make([]*ninf.Client, nc)
+	}
+	warm := make([]float64, elems)
+	for i := range clients {
+		c, err := ninf.Dial("tcp", l.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Call("echo", elems, warm, make([]float64, elems)); err != nil {
+			b.Fatal(err)
+		}
+		if c.Multiplexed() != mux {
+			b.Fatalf("client multiplexed = %v, want %v", c.Multiplexed(), mux)
+		}
+		clients[i] = c
 	}
 
 	b.SetBytes(int64(2 * 8 * elems)) // echo moves the vector out and back
@@ -96,7 +114,7 @@ func benchMuxCell(b *testing.B, mux bool, nc, elems int) {
 			continue
 		}
 		wg.Add(1)
-		go func(calls int) {
+		go func(c *ninf.Client, calls int) {
 			defer wg.Done()
 			in := make([]float64, elems)
 			out := make([]float64, elems)
@@ -106,7 +124,7 @@ func benchMuxCell(b *testing.B, mux bool, nc, elems int) {
 					return
 				}
 			}
-		}(calls)
+		}(clients[w%len(clients)], calls)
 	}
 	wg.Wait()
 	b.StopTimer()

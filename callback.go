@@ -25,24 +25,36 @@ type callbackRegistry struct {
 // RegisterCallback makes fn invokable by server executables under the
 // given name during this client's blocking calls. Passing nil removes
 // the registration. Callbacks need the quiet parked stream of a
-// lockstep call, so registering one retires any live multiplexed
-// session and pins subsequent calls to the lockstep paths until all
-// callbacks are removed (see session.go).
+// lockstep call, so while any is registered the client's connection
+// runs lockstep even against a multiplexed server. Registering the
+// first callback or removing the last retires a connection whose
+// protocol is already settled, so the next dial negotiates to match.
 func (c *Client) RegisterCallback(name string, fn CallbackFunc) {
 	c.cb.mu.Lock()
 	if c.cb.fns == nil {
 		c.cb.fns = make(map[string]CallbackFunc)
 	}
+	before := len(c.cb.fns) > 0
 	if fn == nil {
 		delete(c.cb.fns, name)
 	} else {
 		c.cb.fns[name] = fn
 	}
-	registered := len(c.cb.fns) > 0
+	changed := before != (len(c.cb.fns) > 0)
 	c.cb.mu.Unlock()
-	if registered {
-		c.closeSession()
+	c.mu.Lock()
+	settled := c.probed
+	c.mu.Unlock()
+	if changed && settled {
+		c.drop(nil)
 	}
+}
+
+// hasCallbacks reports whether any client callback is registered.
+func (c *Client) hasCallbacks() bool {
+	c.cb.mu.RLock()
+	defer c.cb.mu.RUnlock()
+	return len(c.cb.fns) > 0
 }
 
 func (c *Client) lookupCallback(name string) CallbackFunc {
@@ -51,41 +63,26 @@ func (c *Client) lookupCallback(name string) CallbackFunc {
 	return c.cb.fns[name]
 }
 
-// callRoundTrip performs the MsgCall exchange, answering any
-// MsgCallback frames the server interleaves before the final reply.
-// It consumes req (released once written) and returns the reply in a
-// pooled buffer the caller must Release after decoding.
-func (c *Client) callRoundTrip(conn net.Conn, req *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, error) {
-	if conn == nil {
-		req.Release()
-		return 0, nil, errClientClosed
-	}
-	err := protocol.WriteFrameBuf(conn, protocol.MsgCall, req)
+// lockstepRoundTrip writes one request frame on a lockstep connection
+// and reads the reply, answering any MsgCallback frames the server
+// interleaves before it (only a blocking call's executable sends
+// them). It consumes req (released once written) and returns the
+// reply in a pooled buffer the caller must Release after decoding.
+func (c *Client) lockstepRoundTrip(conn net.Conn, t protocol.MsgType, req *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, error) {
+	err := protocol.WriteFrameBuf(conn, t, req)
 	req.Release()
 	if err != nil {
 		return 0, nil, err
 	}
 	for {
 		typ, fb, err := protocol.ReadFrameBuf(conn, c.maxPayload)
+		if err != nil || typ != protocol.MsgCallback {
+			return typ, fb, err
+		}
+		err = c.answerCallback(conn, fb.Payload())
+		fb.Release()
 		if err != nil {
 			return 0, nil, err
-		}
-		switch typ {
-		case protocol.MsgCallback:
-			err := c.answerCallback(conn, fb.Payload())
-			fb.Release()
-			if err != nil {
-				return 0, nil, err
-			}
-		case protocol.MsgError:
-			er, derr := protocol.DecodeErrorReply(fb.Payload())
-			fb.Release()
-			if derr != nil {
-				return 0, nil, derr
-			}
-			return 0, nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail}
-		default:
-			return typ, fb, nil
 		}
 	}
 }

@@ -14,6 +14,7 @@ package ninf_test
 import (
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -84,7 +85,7 @@ func (d *haDaemon) kill() {
 type haWorld struct {
 	metas     []*metaserver.Metaserver
 	daemons   []*haDaemon
-	stops     []func() // per-replica gossip + monitor loops
+	stops     []func()             // per-replica gossip + monitor loops
 	injectors []*faultnet.Injector // client→meta links, per replica
 	names     []string             // server names
 }
@@ -308,8 +309,9 @@ func TestChaosMetaserverPrimaryKill(t *testing.T) {
 		}
 	}
 	s1, s2 := w.metas[1].Servers(), w.metas[2].Servers()
-	metaserver.SortSnapshotsByName(s1)
-	metaserver.SortSnapshotsByName(s2)
+	for _, s := range [][]*metaserver.Snapshot{s1, s2} {
+		sort.Slice(s, func(i, j int) bool { return s[i].Name < s[j].Name })
+	}
 	for i := range s1 {
 		if s1[i].Alive != s2[i].Alive {
 			t.Errorf("replicas disagree on %s liveness: %v vs %v", s1[i].Name, s1[i].Alive, s2[i].Alive)

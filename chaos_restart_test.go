@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,8 +65,9 @@ func (c *tagCounter) total() int {
 }
 
 // restartRegistry builds a registry whose one routine, rdouble,
-// doubles v into w and charges the execution to tag v[0].
-func restartRegistry(t *testing.T, execs *tagCounter) *server.Registry {
+// doubles v into w and charges the execution to tag v[0]. A non-nil
+// hold runs at the start of every execution.
+func restartRegistry(t *testing.T, execs *tagCounter, hold func()) *server.Registry {
 	t.Helper()
 	reg := server.NewRegistry()
 	err := reg.RegisterIDL(`
@@ -73,6 +75,9 @@ Define rdouble(mode_in int n, mode_in double v[n], mode_out double w[n])
     Calls "go" rdouble(n, v, w);
 `, map[string]server.Handler{
 		"rdouble": func(_ context.Context, args []idl.Value) error {
+			if hold != nil {
+				hold()
+			}
 			v := args[1].([]float64)
 			w := args[2].([]float64)
 			execs.inc(int(v[0]))
@@ -119,7 +124,20 @@ func TestChaosRestartJournalExactlyOnce(t *testing.T) {
 	dir := t.TempDir()
 	var exec1, exec2 tagCounter
 
-	s1 := server.New(server.Config{Hostname: "wal1", PEs: 4}, restartRegistry(t, &exec1))
+	// The first incarnation's 4th execution fires the crash and stays
+	// unfinished across it: its acknowledged submit is journaled with no
+	// completion, so replay provably has work to recover. (A crash
+	// timed by polling Stats could land after the in-flight job was
+	// delivered, and an empty journal would prove nothing.)
+	crash, resume := make(chan struct{}), make(chan struct{})
+	var started atomic.Int32
+	hold := func() {
+		if started.Add(1) == 4 {
+			close(crash)
+			<-resume
+		}
+	}
+	s1 := server.New(server.Config{Hostname: "wal1", PEs: 4}, restartRegistry(t, &exec1, hold))
 	if _, err := s1.AttachJournal(dir, journal.Options{Fsync: journal.FsyncAlways}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +163,11 @@ func TestChaosRestartJournalExactlyOnce(t *testing.T) {
 	})
 	dial := in.Dialer(func() (net.Conn, error) { return net.Dial("tcp", addr) })
 
-	// Crash-and-restart monitor: once the first incarnation has
-	// demonstrably executed work, partition it, abandon it, and bring up
-	// a fresh incarnation from the journal on the same address.
+	// Crash-and-restart monitor: once the first incarnation is running
+	// its 4th job, partition it, abandon it, and bring up a fresh
+	// incarnation from the journal on the same address. The held job
+	// finishes on the dead incarnation only after the new one has
+	// replayed the journal.
 	type restarted struct {
 		rec server.Recovery
 		s2  *server.Server
@@ -155,35 +175,29 @@ func TestChaosRestartJournalExactlyOnce(t *testing.T) {
 	}
 	done := make(chan restarted, 1)
 	go func() {
-		deadline := time.Now().Add(20 * time.Second)
-		for time.Now().Before(deadline) {
-			// Fire only while work is demonstrably in flight: with
-			// acknowledged-but-unfinished jobs present at the partition,
-			// the journal provably strands state for replay to recover —
-			// a crash after everything was delivered would recover an
-			// (correctly) empty journal and prove nothing.
-			if st := s1.Stats(); st.TotalCalls >= 3 && st.Queued+st.Running > 0 {
-				in.Partition()
-				l1.Close()
-				s2 := server.New(server.Config{Hostname: "wal2", PEs: 4}, restartRegistry(t, &exec2))
-				rec, err := s2.AttachJournal(dir, journal.Options{Fsync: journal.FsyncAlways})
-				if err != nil {
-					done <- restarted{err: err}
-					return
-				}
-				l2, err := relisten(addr)
-				if err != nil {
-					done <- restarted{err: err}
-					return
-				}
-				go s2.Serve(l2)
-				in.Heal()
-				done <- restarted{rec: rec, s2: s2}
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
+		defer close(resume)
+		select {
+		case <-crash:
+		case <-time.After(20 * time.Second):
+			done <- restarted{err: errors.New("workload drained before the crash fired")}
+			return
 		}
-		done <- restarted{err: errors.New("workload drained before the crash fired")}
+		in.Partition()
+		l1.Close()
+		s2 := server.New(server.Config{Hostname: "wal2", PEs: 4}, restartRegistry(t, &exec2, nil))
+		rec, err := s2.AttachJournal(dir, journal.Options{Fsync: journal.FsyncAlways})
+		if err != nil {
+			done <- restarted{err: err}
+			return
+		}
+		l2, err := relisten(addr)
+		if err != nil {
+			done <- restarted{err: err}
+			return
+		}
+		go s2.Serve(l2)
+		in.Heal()
+		done <- restarted{rec: rec, s2: s2}
 	}()
 
 	ctx := testContext(t)
@@ -297,7 +311,7 @@ func TestRestartEpochInvalidatesHandles(t *testing.T) {
 	dir := t.TempDir()
 	var exec1, exec2 tagCounter
 
-	s1 := server.New(server.Config{Hostname: "epoch1", PEs: 2, BulkThreshold: 4096, CacheBudget: 4 << 20}, restartRegistry(t, &exec1))
+	s1 := server.New(server.Config{Hostname: "epoch1", PEs: 2, BulkThreshold: 4096, CacheBudget: 4 << 20}, restartRegistry(t, &exec1, nil))
 	if _, err := s1.AttachJournal(dir, journal.Options{Fsync: journal.FsyncAlways}); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +361,7 @@ func TestRestartEpochInvalidatesHandles(t *testing.T) {
 	// to partition them), forcing a re-dial that meets the new epoch.
 	l1.Close()
 	s1.Close()
-	s2 := server.New(server.Config{Hostname: "epoch2", PEs: 2, BulkThreshold: 4096, CacheBudget: 4 << 20}, restartRegistry(t, &exec2))
+	s2 := server.New(server.Config{Hostname: "epoch2", PEs: 2, BulkThreshold: 4096, CacheBudget: 4 << 20}, restartRegistry(t, &exec2, nil))
 	if _, err := s2.AttachJournal(dir, journal.Options{Fsync: journal.FsyncAlways}); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +374,7 @@ func TestRestartEpochInvalidatesHandles(t *testing.T) {
 
 	// Any exchange that renegotiates observes the new epoch. Stats is a
 	// one-shot roundtrip, so the first attempt may just burn the dead
-	// pooled connection; the next one re-dials and meets epoch 2.
+	// connection; the next one re-dials and meets epoch 2.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := c.Stats(); err == nil {
@@ -408,7 +422,7 @@ func TestRestartEpochInvalidatesHandles(t *testing.T) {
 // job still executes exactly once per incarnation.
 func TestRestartUnknownJobResubmit(t *testing.T) {
 	var exec1, exec2 tagCounter
-	s1 := server.New(server.Config{Hostname: "vol1", PEs: 2}, restartRegistry(t, &exec1))
+	s1 := server.New(server.Config{Hostname: "vol1", PEs: 2}, restartRegistry(t, &exec1, nil))
 	l1, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +446,7 @@ func TestRestartUnknownJobResubmit(t *testing.T) {
 	// Journal-less restart on the same address: the job is gone.
 	l1.Close()
 	s1.Close()
-	s2 := server.New(server.Config{Hostname: "vol2", PEs: 2}, restartRegistry(t, &exec2))
+	s2 := server.New(server.Config{Hostname: "vol2", PEs: 2}, restartRegistry(t, &exec2, nil))
 	l2, err := relisten(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -33,28 +33,33 @@ import (
 	"time"
 
 	"ninf/internal/idl"
+	"ninf/internal/mux"
 	"ninf/internal/protocol"
 )
 
-// Client is a connection to one Ninf computational server. A Client
-// serializes the calls issued through it (Ninf_call is blocking);
-// CallAsync and Submit/Fetch draw connections from a bounded idle pool
-// fed by the dialer, so a burst of async calls reuses established
-// connections instead of dialing per call.
+// Client is a connection to one Ninf computational server. It holds
+// exactly one connection: against a multiplexed server every verb from
+// any number of goroutines pipelines over it, and against a lockstep
+// peer (or while callbacks are registered) it runs one exchange at a
+// time, the Ninf_call contract. Concurrency against a lockstep peer
+// comes from more Clients. See session.go.
 type Client struct {
 	dial func() (net.Conn, error)
-	pool *connPool
 
-	mu     sync.Mutex // guards conn use and the interface cache
-	conn   net.Conn
+	// xlock serializes dialing, negotiation and lockstep exchanges on
+	// the connection: a one-slot semaphore rather than a mutex, so a
+	// waiter's context bounds its wait. Close never takes it.
+	xlock chan struct{}
+
+	mu     sync.Mutex // guards the fields below; never held across I/O
+	conn   net.Conn   // the one connection; nil until the next exchange re-dials
+	sess   *mux.Session
+	flags  uint32 // HelloReply capability flags of sess
+	probed bool   // conn's protocol is settled: sess, or lockstep if sess is nil
 	closed bool
 	cache  map[string]*idl.Info
 
 	cb callbackRegistry
-
-	// sess is the multiplexed session layer (protocol version 2);
-	// see session.go. Zero value: multiplexing on, not yet probed.
-	sess sessionState
 
 	maxPayload int
 
@@ -236,21 +241,22 @@ var ErrStaleHandle = errors.New("ninf: data handle from a previous server incarn
 // level 4 session against a cache-enabled server; an evicted (or never
 // cached) handle fails with a CodeCacheMiss remote error.
 func (c *Client) FetchData(ctx context.Context, h DataHandle, dst any) error {
-	sess, err := c.session(ctx)
+	l, err := c.link(ctx, true)
 	if err != nil {
 		return err
 	}
-	cacheok := sess != nil && c.cacheOn(sess)
-	if !cacheok {
+	cacheOK := c.cacheOn(l)
+	if !cacheOK {
+		c.release(l)
 		return errors.New("ninf: server offers no argument cache")
 	}
-	// session() above refreshed the observed epoch if it (re)negotiated,
-	// so an epoch-stamped handle that survived a server restart is
-	// caught here before the exchange.
+	// link above refreshed the observed epoch if it (re)negotiated, so
+	// an epoch-stamped handle that survived a server restart is caught
+	// here before the exchange.
 	if cur := c.srvEpoch.Load(); h.epoch != 0 && cur != 0 && h.epoch != cur {
 		return fmt.Errorf("%w (minted at epoch %d, server at %d)", ErrStaleHandle, h.epoch, cur)
 	}
-	rt, fb, _, err := c.muxExchangeOn(ctx, sess, protocol.MsgDataHandle, protocol.EncodeDataHandleRequestBuf(h.dig))
+	rt, fb, _, err := c.exchangeOn(ctx, l, protocol.MsgDataHandle, protocol.EncodeDataHandleRequestBuf(h.dig))
 	if err != nil {
 		return err
 	}
@@ -277,19 +283,20 @@ func Dial(network, addr string) (*Client, error) {
 }
 
 // DialContext is Dial with the initial connection (and every later
-// pool refill) bounded by ctx's deadline. Cancelling ctx after
-// DialContext returns also aborts subsequent dials made on the
-// client's behalf; it does not interrupt exchanges already in flight.
+// re-dial) bounded by ctx's deadline. Cancelling ctx after DialContext
+// returns also aborts subsequent dials made on the client's behalf; it
+// does not interrupt exchanges already in flight.
 func DialContext(ctx context.Context, network, addr string) (*Client, error) {
 	var d net.Dialer
 	dialer := func() (net.Conn, error) { return d.DialContext(ctx, network, addr) }
 	return NewClient(dialer)
 }
 
-// NewClient builds a client around a dialer, which is used for the
-// primary connection and for each async call. Tests and the network
-// emulator pass dialers returning in-memory or traffic-shaped
-// connections.
+// NewClient builds a client around a dialer, which it calls once now
+// and again only to replace a connection that a transport fault or a
+// callback registration retired.
+// Tests and the network emulator pass dialers returning in-memory or
+// traffic-shaped connections.
 func NewClient(dial func() (net.Conn, error)) (*Client, error) {
 	if dial == nil {
 		return nil, errors.New("ninf: nil dialer")
@@ -300,7 +307,7 @@ func NewClient(dial func() (net.Conn, error)) (*Client, error) {
 	}
 	c := &Client{
 		dial:  dial,
-		pool:  newConnPool(dial, DefaultPoolSize),
+		xlock: make(chan struct{}, 1),
 		conn:  conn,
 		cache: make(map[string]*idl.Info),
 		retry: DefaultRetryPolicy,
@@ -375,145 +382,33 @@ func (c *Client) bulkThreshold() int {
 	}
 }
 
-// SetPoolSize bounds the idle connections retained for CallAsync and
-// Submit/Fetch (default DefaultPoolSize). It does not cap concurrency:
-// when every pooled connection is busy, additional calls dial through
-// the dialer and the surplus connections are closed on return.
-func (c *Client) SetPoolSize(n int) { c.pool.setMaxIdle(n) }
-
-// Close releases the primary connection, the idle pool and the
-// multiplexed session, and severs any in-flight exchange: a CallAsync
-// or Submit blocked on a dead server returns a classified connection
-// error (wrapping ErrClientClosed) rather than hanging.
+// Close releases the connection and severs any in-flight exchange: a
+// call blocked on a dead server returns a classified connection error
+// (wrapping ErrClientClosed) rather than hanging. Close never waits
+// for an exchange to finish.
 func (c *Client) Close() error {
-	c.pool.closeAll()
-	c.closeSession()
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.closed = true
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// reconnectLocked re-establishes the primary connection after a
-// transport fault dropped it. Callers hold c.mu.
-func (c *Client) reconnectLocked() error {
-	if c.closed {
-		return errClientClosed
-	}
-	if c.conn != nil {
-		return nil
-	}
-	conn, err := c.dial()
-	if err != nil {
-		return err
-	}
-	c.conn = conn
+	c.mu.Unlock()
+	c.drop(nil)
 	return nil
-}
-
-// dropConnLocked discards the primary connection after an error that
-// leaves its stream out of sync; the next exchange re-dials. Callers
-// hold c.mu.
-func (c *Client) dropConnLocked(conn net.Conn, err error) {
-	if err == nil || connReusable(err) || c.conn != conn || conn == nil {
-		return
-	}
-	c.conn.Close()
-	c.conn = nil
-}
-
-// roundTrip sends one frame on the primary connection and reads the
-// reply, translating MsgError frames to *protocol.RemoteError. A
-// transport fault drops the connection so the next exchange re-dials.
-func (c *Client) roundTrip(t protocol.MsgType, payload []byte) (protocol.MsgType, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reconnectLocked(); err != nil {
-		return 0, nil, err
-	}
-	//lint:ninflint locknet — c.mu exists to serialize exchanges on the primary connection; framing would interleave without it
-	rt, rp, err := roundTripOn(c.conn, c.maxPayload, t, payload)
-	//lint:ninflint locknet — dropConnLocked only calls Close, which does not block on the socket
-	c.dropConnLocked(c.conn, err)
-	return rt, rp, err
-}
-
-func roundTripOn(conn net.Conn, maxPayload int, t protocol.MsgType, payload []byte) (protocol.MsgType, []byte, error) {
-	if conn == nil {
-		return 0, nil, errClientClosed
-	}
-	if err := protocol.WriteFrame(conn, t, payload); err != nil {
-		return 0, nil, err
-	}
-	rt, rp, err := protocol.ReadFrame(conn, maxPayload)
-	if err != nil {
-		return 0, nil, err
-	}
-	if rt == protocol.MsgError {
-		er, derr := protocol.DecodeErrorReply(rp)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
-	}
-	return rt, rp, nil
-}
-
-// roundTripBufOn is the pooled-buffer round trip used by the two-phase
-// protocol: it consumes req (released once written) and returns the
-// reply in a pooled buffer the caller must Release after decoding.
-func roundTripBufOn(conn net.Conn, maxPayload int, t protocol.MsgType, req *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, error) {
-	if conn == nil {
-		req.Release()
-		return 0, nil, errClientClosed
-	}
-	err := protocol.WriteFrameBuf(conn, t, req)
-	req.Release()
-	if err != nil {
-		return 0, nil, err
-	}
-	rt, fb, err := protocol.ReadFrameBuf(conn, maxPayload)
-	if err != nil {
-		return 0, nil, err
-	}
-	if rt == protocol.MsgError {
-		er, derr := protocol.DecodeErrorReply(fb.Payload())
-		fb.Release()
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
-	}
-	return rt, fb, nil
 }
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	t, _, err := c.roundTrip(protocol.MsgPing, nil)
-	if err != nil {
-		return err
-	}
-	if t != protocol.MsgPong {
-		return fmt.Errorf("ninf: unexpected reply %v to ping", t)
-	}
-	return nil
+	fb, err := c.expect(context.Background(), protocol.MsgPing, protocol.AcquireBuffer(0), protocol.MsgPong, "ping")
+	fb.Release()
+	return err
 }
 
 // List returns the routine names registered on the server.
 func (c *Client) List() ([]string, error) {
-	t, p, err := c.roundTrip(protocol.MsgList, nil)
+	fb, err := c.expect(context.Background(), protocol.MsgList, protocol.AcquireBuffer(0), protocol.MsgListReply, "list")
 	if err != nil {
 		return nil, err
 	}
-	if t != protocol.MsgListReply {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to list", t)
-	}
-	reply, err := protocol.DecodeListReply(p)
+	defer fb.Release()
+	reply, err := protocol.DecodeListReply(fb.Payload())
 	if err != nil {
 		return nil, err
 	}
@@ -522,14 +417,12 @@ func (c *Client) List() ([]string, error) {
 
 // Stats polls the server's scheduling self-report.
 func (c *Client) Stats() (protocol.Stats, error) {
-	t, p, err := c.roundTrip(protocol.MsgStats, nil)
+	fb, err := c.expect(context.Background(), protocol.MsgStats, protocol.AcquireBuffer(0), protocol.MsgStatsOK, "stats")
 	if err != nil {
 		return protocol.Stats{}, err
 	}
-	if t != protocol.MsgStatsOK {
-		return protocol.Stats{}, fmt.Errorf("ninf: unexpected reply %v to stats", t)
-	}
-	s, err := protocol.DecodeStats(p)
+	defer fb.Release()
+	s, err := protocol.DecodeStats(fb.Payload())
 	if err == nil {
 		c.noteEpoch(s.Epoch)
 	}
@@ -561,80 +454,18 @@ func (c *Client) InterfaceContext(ctx context.Context, name string) (*idl.Info, 
 
 func (c *Client) attemptInterface(ctx context.Context, name string) (*idl.Info, error) {
 	c.mu.Lock()
-	if info, ok := c.cache[name]; ok {
-		c.mu.Unlock()
+	info, ok := c.cache[name]
+	c.mu.Unlock()
+	if ok {
 		return info, nil
 	}
-	c.mu.Unlock()
-	ireq := protocol.InterfaceRequest{Name: name}
-	req := protocol.BufferFor(ireq.Encode())
-	rt, fb, used, err := c.muxExchangeLive(ctx, protocol.MsgInterface, req)
-	if !used {
-		req.Release()
-		//lint:ninflint releasecheck — used=false: no exchange ran and fb is nil
-		return c.attemptInterfaceLockstep(ctx, name)
-	}
+	req := protocol.InterfaceRequest{Name: name}
+	fb, err := c.expect(ctx, protocol.MsgInterface, protocol.BufferFor(req.Encode()), protocol.MsgInterfaceOK, "interface query")
 	if err != nil {
 		return nil, err
 	}
 	defer fb.Release()
-	if rt != protocol.MsgInterfaceOK {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to interface query", rt)
-	}
-	info, err := protocol.DecodeInterfaceReply(fb.Payload())
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.cache[name] = info
-	c.mu.Unlock()
-	return info, nil
-}
-
-// attemptInterfaceLockstep fetches an interface over the shared
-// primary connection — the pre-mux path, kept for legacy servers.
-func (c *Client) attemptInterfaceLockstep(ctx context.Context, name string) (*idl.Info, error) {
-	c.mu.Lock()
-	if info, ok := c.cache[name]; ok {
-		c.mu.Unlock()
-		return info, nil
-	}
-	req := protocol.InterfaceRequest{Name: name}
-	if err := c.reconnectLocked(); err != nil {
-		c.mu.Unlock()
-		return nil, err
-	}
-	conn := c.conn
-	// The guard bounds the exchange by ctx: when ctx ends it closes
-	// conn, so even a black-holed read returns and releases c.mu
-	// within the caller's deadline.
-	//lint:ninflint locknet — guardConn only registers a context callback; it performs no socket I/O
-	stop := guardConn(ctx, conn)
-	//lint:ninflint locknet — the interface fetch deliberately holds c.mu through the exchange so concurrent first calls don't interleave frames; guardConn severs the conn when ctx ends, bounding the hold
-	t, p, err := roundTripOn(conn, c.maxPayload, protocol.MsgInterface, req.Encode())
-	if !stop() {
-		// ctx ended mid-exchange: the guard closed (or is closing) the
-		// connection, so it cannot carry another frame even if this
-		// exchange happened to complete.
-		if c.conn == conn {
-			conn.Close()
-			c.conn = nil
-		}
-		if err != nil {
-			err = ctxErr(ctx, err)
-		}
-	} else if err != nil {
-		//lint:ninflint locknet — dropConnLocked only calls Close, which does not block on the socket
-		c.dropConnLocked(conn, err)
-	}
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if t != protocol.MsgInterfaceOK {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to interface query", t)
-	}
-	info, err := protocol.DecodeInterfaceReply(p)
+	info, err = protocol.DecodeInterfaceReply(fb.Payload())
 	if err != nil {
 		return nil, err
 	}
@@ -703,7 +534,7 @@ func (c *Client) CallContext(ctx context.Context, name string, args ...any) (*Re
 	var rep *Report
 	err := c.withRetry(ctx, "call "+name, func() error {
 		var aerr error
-		rep, aerr = c.callPrimary(ctx, name, args)
+		rep, aerr = c.attemptCall(ctx, name, args)
 		return aerr
 	})
 	return rep, err
@@ -736,7 +567,7 @@ func (c *Client) withRetry(ctx context.Context, op string, attempt func() error)
 			// real failure as ErrClientClosed.
 			return err
 		}
-		if c.pool.isClosed() {
+		if c.isClosed() {
 			// A transport fault on a closed client is (almost always)
 			// the close severing the exchange; classify it as such.
 			return fmt.Errorf("%w (%v)", errClientClosed, err)
@@ -765,55 +596,23 @@ func (c *Client) withRetry(ctx context.Context, op string, attempt func() error)
 	}
 }
 
-// callPrimary runs one blocking-call attempt. Against a multiplexed
+// attemptCall runs one blocking-call attempt. Against a multiplexed
 // server the exchange rides the shared session (Call stays blocking
-// for its caller, but no longer serializes against other goroutines'
-// calls); against a legacy server it runs on the primary connection,
-// which serializes Call traffic per the Ninf_call contract. A
-// transport fault drops the connection for re-dial on the next
-// attempt.
-func (c *Client) callPrimary(ctx context.Context, name string, args []any) (*Report, error) {
+// for its caller, but does not serialize against other goroutines'
+// calls); against a lockstep peer it holds the connection for the
+// exchange, which serializes calls per the Ninf_call contract.
+func (c *Client) attemptCall(ctx context.Context, name string, args []any) (*Report, error) {
 	info, vals, err := c.prepVals(ctx, name, args)
 	if err != nil {
 		return nil, err
 	}
-	if rep, used, err := c.muxCall(ctx, info, vals, args); used {
-		return rep, err
-	}
-	req, err := c.encodeCall(ctx, info, vals)
+	creq := &protocol.CallRequest{Name: info.Name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
+	rep := &Report{Routine: info.Name}
+	rt, fb, bulk, err := c.send(ctx, protocol.MsgCall, info, creq, 0, rep)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if err := c.reconnectLocked(); err != nil {
-		c.mu.Unlock()
-		req.Release()
-		return nil, err
-	}
-	conn := c.conn
-	c.mu.Unlock()
-	stop := guardConn(ctx, conn)
-	rep, err := c.exchangeCall(conn, &c.mu, info, vals, req, args)
-	if !stop() {
-		// ctx ended mid-exchange: the guard's Close races the exchange,
-		// so the connection must be dropped even if the exchange
-		// completed cleanly.
-		if err != nil {
-			err = ctxErr(ctx, err)
-		}
-		c.mu.Lock()
-		if c.conn == conn {
-			conn.Close()
-			c.conn = nil
-		}
-		c.mu.Unlock()
-	} else if err != nil && !connReusable(err) {
-		c.mu.Lock()
-		//lint:ninflint locknet — dropConnLocked only calls Close, which does not block on the socket
-		c.dropConnLocked(conn, err)
-		c.mu.Unlock()
-	}
-	return rep, err
+	return finishCall(rep, info, vals, args, rt, fb, bulk)
 }
 
 // AsyncCall is a pending Ninf_call_async.
@@ -839,12 +638,10 @@ func (a *AsyncCall) Done() bool {
 	}
 }
 
-// CallAsync performs Ninf_call_async: the call proceeds on its own
-// pooled connection while the caller continues. Results land in the
-// argument slices/pointers when Wait returns, not before. Connections
-// are returned to the idle pool after a clean exchange (including a
-// remote error, which leaves the stream in sync) and closed on I/O
-// errors.
+// CallAsync performs Ninf_call_async: the call proceeds in the
+// background over the client's connection while the caller continues.
+// Results land in the argument slices/pointers when Wait returns, not
+// before.
 func (c *Client) CallAsync(name string, args ...any) *AsyncCall {
 	return c.CallAsyncContext(context.Background(), name, args...)
 }
@@ -855,82 +652,9 @@ func (c *Client) CallAsyncContext(ctx context.Context, name string, args ...any)
 	a := &AsyncCall{done: make(chan struct{})}
 	go func() {
 		defer close(a.done)
-		a.report, a.err = c.callPooled(ctx, name, args)
+		a.report, a.err = c.CallContext(ctx, name, args...)
 	}()
 	return a
-}
-
-// callPooled runs a call on pooled connections with the client's
-// retry policy: every attempt draws a fresh buffer and connection.
-func (c *Client) callPooled(ctx context.Context, name string, args []any) (*Report, error) {
-	var rep *Report
-	err := c.withRetry(ctx, "call "+name, func() error {
-		var aerr error
-		rep, aerr = c.attemptPooled(ctx, name, args)
-		return aerr
-	})
-	return rep, err
-}
-
-// attemptPooled is one call attempt over the multiplexed session,
-// falling back to a private pooled connection for legacy servers.
-func (c *Client) attemptPooled(ctx context.Context, name string, args []any) (*Report, error) {
-	info, vals, err := c.prepVals(ctx, name, args)
-	if err != nil {
-		return nil, err
-	}
-	if rep, used, err := c.muxCall(ctx, info, vals, args); used {
-		return rep, err
-	}
-	req, err := c.encodeCall(ctx, info, vals)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := c.pool.get()
-	if err != nil {
-		req.Release()
-		return nil, err
-	}
-	stop := guardConn(ctx, conn)
-	rep, err := c.exchangeCall(conn, nil, info, vals, req, args)
-	err = c.releaseGuarded(ctx, conn, stop, err)
-	return rep, err
-}
-
-// releaseGuarded settles a pooled connection after a guarded exchange.
-// A disarmed guard pools or discards by connReusable. A guard that
-// already fired means ctx ended mid-exchange and its conn.Close races
-// (or raced) the exchange: the connection is never pooled — another
-// caller must not be handed a socket about to be closed under it — and
-// a failed exchange is reported as the context's end rather than the
-// severed socket's I/O error. A completed exchange keeps its result;
-// only the connection is forfeit.
-func (c *Client) releaseGuarded(ctx context.Context, conn net.Conn, stop func() bool, err error) error {
-	if !stop() {
-		c.pool.discard(conn)
-		if err != nil {
-			return ctxErr(ctx, err)
-		}
-		return nil
-	}
-	if connReusable(err) {
-		c.pool.put(conn)
-	} else {
-		c.pool.discard(conn)
-	}
-	return err
-}
-
-// connReusable reports whether a pooled connection is still in frame
-// sync after an exchange that returned err: a nil error or a decoded
-// remote error leaves the stream clean; anything else (dial, I/O,
-// framing, decode trouble) means the connection must be discarded.
-func connReusable(err error) bool {
-	if err == nil {
-		return true
-	}
-	var re *protocol.RemoteError
-	return errors.As(err, &re)
 }
 
 // prepVals resolves the interface and validates/converts the
@@ -952,11 +676,6 @@ func (c *Client) prepVals(ctx context.Context, name string, args []any) (*idl.In
 	return info, vals, nil
 }
 
-// encodeCall marshals a call monolithically for the lockstep paths.
-func (c *Client) encodeCall(ctx context.Context, info *idl.Info, vals []idl.Value) (*protocol.Buffer, error) {
-	return protocol.EncodeCallRequestBuf(info, &protocol.CallRequest{Name: info.Name, Args: vals, Deadline: ctxDeadlineNanos(ctx)})
-}
-
 // ctxDeadlineNanos propagates the caller's context deadline onto the
 // wire (0 = none): the server uses it to refuse work it cannot finish
 // in time and to shed queued jobs whose caller has already given up.
@@ -965,23 +684,6 @@ func ctxDeadlineNanos(ctx context.Context) int64 {
 		return dl.UnixNano()
 	}
 	return 0
-}
-
-// exchangeCall runs the blocking call protocol on the given
-// connection, consuming (and releasing) the prepared request buffer.
-// If lock is non-nil it is held around connection I/O (the primary
-// connection is shared; pooled connections are private to the call).
-func (c *Client) exchangeCall(conn net.Conn, lock *sync.Mutex, info *idl.Info, vals []idl.Value, req *protocol.Buffer, args []any) (*Report, error) {
-	rep := &Report{Routine: info.Name, Submit: time.Now(), BytesOut: int64(req.Len())}
-	if lock != nil {
-		lock.Lock()
-		defer lock.Unlock()
-	}
-	t, reply, err := c.callRoundTrip(conn, req)
-	if err != nil {
-		return nil, err
-	}
-	return finishCall(rep, info, vals, args, t, reply, nil)
 }
 
 // Job is a two-phase call handle (§5.1): arguments already shipped,
@@ -1013,9 +715,7 @@ func (j *Job) ID() uint64 { return j.id }
 // Submit ships the arguments of a call and returns immediately with a
 // job handle; the server computes while no connection is tied up. This
 // is the two-phase protocol of §5.1, proposed to keep per-user
-// performance under multi-client load. The exchange runs on a pooled
-// connection, so a train of submissions reuses one connection rather
-// than dialing per job.
+// performance under multi-client load.
 func (c *Client) Submit(name string, args ...any) (*Job, error) {
 	return c.SubmitContext(context.Background(), name, args...)
 }
@@ -1047,32 +747,15 @@ func submitKey() uint64 {
 	}
 }
 
-// attemptSubmit is one submit attempt on a private pooled connection.
+// attemptSubmit is one submit attempt.
 func (c *Client) attemptSubmit(ctx context.Context, name string, args []any, key uint64) (*Job, error) {
-	info, err := c.attemptInterface(ctx, name)
+	info, vals, err := c.prepVals(ctx, name, args)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := toValues(info, args)
-	if err != nil {
-		return nil, err
-	}
-	if job, used, err := c.muxSubmit(ctx, name, info, args, vals, key); used {
-		return job, err
-	}
-	req, err := protocol.EncodeSubmitRequestBuf(info, &protocol.CallRequest{Name: name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}, key)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Routine: name, Submit: time.Now(), BytesOut: int64(req.Len())}
-	conn, err := c.pool.get()
-	if err != nil {
-		req.Release()
-		return nil, err
-	}
-	stop := guardConn(ctx, conn)
-	t, p, err := roundTripBufOn(conn, c.maxPayload, protocol.MsgSubmit, req)
-	err = c.releaseGuarded(ctx, conn, stop, err)
+	creq := &protocol.CallRequest{Name: name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
+	rep := &Report{Routine: name}
+	t, p, _, err := c.send(ctx, protocol.MsgSubmit, info, creq, key, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -1171,7 +854,7 @@ func nextFetchDelay(pollDelay, hint time.Duration) (sleep, next time.Duration) {
 // FetchContext is Fetch bounded by ctx. Waiting is client-driven:
 // rather than parking a connection in the server's fetch queue (where
 // a dying server would strand it), the job is polled with exponential
-// backoff capped at fetchPollCap, each poll on a pooled connection.
+// backoff capped at fetchPollCap, each poll one exchange.
 // Overload hints honored during a poll carry into the schedule (see
 // nextFetchDelay). Cancelling ctx abandons the wait; transport faults
 // during a poll are retried per the client's RetryPolicy.
@@ -1223,25 +906,15 @@ func (j *Job) fetchOnce(ctx context.Context) (*Report, time.Duration, error) {
 	return rep, hint, err
 }
 
-// attemptFetch is one fetch exchange over the multiplexed session,
-// falling back to a private pooled connection for legacy servers.
+// attemptFetch is one fetch exchange. Large stored results arrive as
+// chunked bulk replies from a level-3 server.
 func (j *Job) attemptFetch(ctx context.Context) (*Report, error) {
-	if rep, used, err := j.muxFetch(ctx); used {
-		return rep, err
-	}
-	c := j.client
-	req := protocol.FetchRequest{JobID: j.id, Wait: false}
-	conn, err := c.pool.get()
-	if err != nil {
-		return nil, err
-	}
-	stop := guardConn(ctx, conn)
-	t, p, err := roundTripBufOn(conn, c.maxPayload, protocol.MsgFetch, req.EncodeBuf())
-	err = c.releaseGuarded(ctx, conn, stop, err)
+	req := protocol.FetchRequest{JobID: j.id}
+	t, p, bulk, err := j.client.exchange(ctx, protocol.MsgFetch, req.EncodeBuf())
 	if err != nil {
 		return nil, classifyFetchErr(err)
 	}
-	return j.finishFetch(t, p, nil)
+	return j.finishFetch(t, p, bulk)
 }
 
 // classifyFetchErr maps the fetch protocol's remote error codes onto
@@ -1262,11 +935,10 @@ func classifyFetchErr(err error) error {
 	return err
 }
 
-// finishFetch decodes one fetch reply (mux or lockstep) straight into
-// the job's destinations, consuming the reply buffer; a reply that
-// fails to decode leaves them untouched. A non-nil bulk means
-// the reply was a reassembled chunked message (its head is the XDR
-// prefix); lockstep fetches always pass nil.
+// finishFetch decodes one fetch reply straight into the job's
+// destinations, consuming the reply buffer; a reply that fails to
+// decode leaves them untouched. A non-nil bulk means the reply was a
+// reassembled chunked message (its head is the XDR prefix).
 func (j *Job) finishFetch(t protocol.MsgType, p *protocol.Buffer, bulk *protocol.BulkInfo) (*Report, error) {
 	defer p.Release()
 	if t != protocol.MsgFetchOK {

@@ -12,7 +12,7 @@ import (
 )
 
 func TestConcurrentCallsOnOneClient(t *testing.T) {
-	// A Client serializes blocking calls on its primary connection;
+	// Concurrent blocking calls share the client's one connection;
 	// concurrent use must be safe and every call must succeed.
 	_, dial := startServer(t, server.Config{PEs: 4})
 	c := newClient(t, dial)
@@ -41,14 +41,18 @@ func TestConcurrentCallsOnOneClient(t *testing.T) {
 }
 
 func TestAsyncDialFailure(t *testing.T) {
-	// The primary dial works once, then the dialer fails: CallAsync
-	// must surface the dial error via Wait, not hang or panic.
+	// The first dial works, then the connection dies and the dialer
+	// fails: CallAsync must surface the dial error via Wait, not hang
+	// or panic.
 	_, realDial := startServer(t, server.Config{})
 	calls := 0
+	var first net.Conn
 	flaky := func() (net.Conn, error) {
 		calls++
 		if calls == 1 {
-			return realDial()
+			conn, err := realDial()
+			first = conn
+			return conn, err
 		}
 		return nil, errors.New("network down")
 	}
@@ -57,6 +61,7 @@ func TestAsyncDialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	first.Close()
 	a := c.CallAsync("busy", 1)
 	if _, err := a.Wait(); err == nil {
 		t.Error("async call with failing dialer succeeded")

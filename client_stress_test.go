@@ -11,12 +11,11 @@ import (
 
 // TestClientConcurrentStress hammers one shared Client with concurrent
 // Call, CallAsync, and Submit/Fetch traffic. Run under -race it
-// exercises the connection pool, the pooled frame buffers, and the
+// exercises the shared connection, the pooled frame buffers, and the
 // interface cache for unsynchronized sharing.
 func TestClientConcurrentStress(t *testing.T) {
 	_, dial := startServer(t, server.Config{})
 	c := newClient(t, dial)
-	c.SetPoolSize(3)
 
 	workers := 8
 	iters := 12
@@ -48,11 +47,11 @@ func TestClientConcurrentStress(t *testing.T) {
 				out := make([]float64, n)
 				var err error
 				switch (w + it) % 3 {
-				case 0: // synchronous, shares the primary connection
+				case 0: // synchronous
 					_, err = c.Call("echo", n, in, out)
-				case 1: // async over the pool
+				case 1: // async
 					_, err = c.CallAsync("echo", n, in, out).Wait()
-				default: // two-phase over the pool
+				default: // two-phase
 					var job *ninf.Job
 					job, err = c.Submit("echo", n, in, out)
 					if err == nil {

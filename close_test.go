@@ -43,31 +43,43 @@ func blackHoleListener(t *testing.T) (net.Listener, <-chan struct{}) {
 	return l, accepted
 }
 
-func TestCloseWithInFlightCalls(t *testing.T) {
-	_, realDial := startServer(t, server.Config{Hostname: "closetest"})
-	hole, accepted := blackHoleListener(t)
+// swallowConn forwards traffic until its hole opens; from then on
+// every write is silently discarded, so the server never answers and
+// an exchange blocks in its read until the connection is closed.
+type swallowConn struct {
+	net.Conn
+	hole      *atomic.Bool
+	swallowed *atomic.Int32
+}
 
-	// First dial (the client's primary connection) reaches the real
-	// server so the interface cache can be warmed; every later dial —
-	// the pooled connections CallAsync and Submit ride on — lands in
-	// the black hole, guaranteeing both calls are stuck mid-exchange
-	// when Close fires.
-	var dials int32
+func (c *swallowConn) Write(p []byte) (int, error) {
+	if c.hole.Load() {
+		c.swallowed.Add(1)
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+func TestCloseWithInFlightCalls(t *testing.T) {
+	// A lockstep server: the client's one connection carries one
+	// exchange at a time, so when Close fires CallAsync is blocked in
+	// its read and Submit waits its turn behind it. Both must fail as
+	// client-closed.
+	_, realDial := startServer(t, server.Config{Hostname: "closetest", DisableMux: true})
+	var hole atomic.Bool
+	var swallowed atomic.Int32
 	dial := func() (net.Conn, error) {
-		if atomic.AddInt32(&dials, 1) == 1 {
-			return realDial()
+		conn, err := realDial()
+		if err != nil {
+			return nil, err
 		}
-		return net.Dial("tcp", hole.Addr().String())
+		return &swallowConn{Conn: conn, hole: &hole, swallowed: &swallowed}, nil
 	}
 	c, err := ninf.NewClient(dial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetRetryPolicy(ninf.NoRetry) // a retry would just re-enter the hole
-	// This test stages two separate pooled connections in the hole; a
-	// multiplexed client would share one session dial between the two
-	// calls (that shape is covered by TestCloseSeversMuxHandshake).
-	c.SetMultiplexing(false)
 	if _, err := c.Interface("dmmul"); err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +90,7 @@ func TestCloseWithInFlightCalls(t *testing.T) {
 	got := make([]float64, n*n)
 	got2 := make([]float64, n*n)
 
+	hole.Store(true)
 	ac := c.CallAsync("dmmul", n, a, b, got)
 	submitErr := make(chan error, 1)
 	go func() {
@@ -85,16 +98,16 @@ func TestCloseWithInFlightCalls(t *testing.T) {
 		submitErr <- err
 	}()
 
-	// Both pooled connections are in the hole with their requests
-	// written (or about to be) — now pull the rug.
-	for i := 0; i < 2; i++ {
-		select {
-		case <-accepted:
-		case <-time.After(5 * time.Second):
-			t.Fatal("in-flight connection never reached the black hole")
+	// Wait until a request is on the (black-holed) wire — now pull the
+	// rug.
+	deadline := time.Now().Add(5 * time.Second)
+	for swallowed.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no request ever reached the connection")
 		}
+		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond) // let both exchanges block in read
+	time.Sleep(20 * time.Millisecond) // let the exchange block in read
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -123,22 +136,25 @@ func TestCloseWithInFlightCalls(t *testing.T) {
 	}
 }
 
-// TestCloseSeversMuxHandshake is the multiplexed twin of the test
-// above: the first call on a mux client dials the session and blocks
-// in version negotiation against a catatonic server; Close must sever
-// the handshake (the connection is on the pool's active books from
-// the moment it is dialed) and fail the call as client-closed.
+// TestCloseSeversMuxHandshake: a mux client whose session died re-dials
+// on its next call, and the handshake blocks against a catatonic
+// server; Close must sever the handshake (the connection is the
+// client's from the moment it is dialed) and fail the call as
+// client-closed.
 func TestCloseSeversMuxHandshake(t *testing.T) {
 	_, realDial := startServer(t, server.Config{Hostname: "closetest"})
 	hole, accepted := blackHoleListener(t)
 
-	// Dial #1 (the primary connection) reaches the real server so the
-	// interface cache warms over lockstep; dial #2 — the session
-	// handshake — lands in the black hole.
+	// Dial #1 reaches the real server, so a first call warms the
+	// interface cache and negotiates a session; the re-dial lands in
+	// the black hole.
 	var dials int32
+	var first net.Conn
 	dial := func() (net.Conn, error) {
 		if atomic.AddInt32(&dials, 1) == 1 {
-			return realDial()
+			conn, err := realDial()
+			first = conn
+			return conn, err
 		}
 		return net.Dial("tcp", hole.Addr().String())
 	}
@@ -147,8 +163,13 @@ func TestCloseSeversMuxHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetRetryPolicy(ninf.NoRetry)
-	if _, err := c.Interface("dmmul"); err != nil {
-		t.Fatal(err)
+	callOnce(t, c)
+	if !c.Multiplexed() {
+		t.Fatal("no session after the first call")
+	}
+	first.Close() // break the session
+	for c.Multiplexed() {
+		time.Sleep(time.Millisecond)
 	}
 
 	const n = 4
@@ -181,5 +202,47 @@ func TestCloseSeversMuxHandshake(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("CallAsync hung in the severed handshake after Close")
+	}
+}
+
+// TestCloseDuringFirstInterfaceFetch: the first call on a client whose
+// server never answers blocks in its first exchange, the interface
+// fetch. Close must not wait for that exchange: it returns at once and
+// the call fails as client-closed.
+func TestCloseDuringFirstInterfaceFetch(t *testing.T) {
+	hole, accepted := blackHoleListener(t)
+	c, err := ninf.Dial("tcp", hole.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	callErr := make(chan error, 1)
+	go func() {
+		_, err := c.Call("echo", 1, []float64{1}, make([]float64, 1))
+		callErr <- err
+	}()
+	select {
+	case <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the client never reached the black hole")
+	}
+	time.Sleep(20 * time.Millisecond) // let the first exchange block in read
+
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close blocked behind the first-call interface fetch")
+	}
+	select {
+	case err := <-callErr:
+		if !errors.Is(err, ninf.ErrClientClosed) {
+			t.Errorf("call error = %v, want ErrClientClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("call hung after Close")
 	}
 }

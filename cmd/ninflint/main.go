@@ -1,9 +1,9 @@
 // Ninflint checks the repository against the data-plane invariants the
 // Ninf port depends on: pooled frame buffers released on every path,
-// pooled connections discarded after I/O errors, XDR encode/decode
-// symmetry, no network I/O under mutexes, context propagation into
-// dials, seq-map lifecycle hygiene, feature-level gating, error-chain
-// classification, and hotpath allocation discipline. Run it standalone:
+// XDR encode/decode symmetry, no network I/O under mutexes, context
+// propagation into dials, seq-map lifecycle hygiene, feature-level
+// gating, error-chain classification, and hotpath allocation
+// discipline. Run it standalone:
 //
 //	go run ./cmd/ninflint ./...
 //	go run ./cmd/ninflint -passes releasecheck,xdrsym ./internal/protocol

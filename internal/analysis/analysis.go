@@ -8,8 +8,7 @@
 //
 // The analyzers enforce the data-plane invariants the PR 1 performance
 // work introduced — pooled frame buffers that must be released on every
-// control-flow path, pooled connections that must not be re-pooled
-// after an I/O error, XDR encode/decode symmetry, no blocking network
+// control-flow path, XDR encode/decode symmetry, no blocking network
 // I/O under a mutex, and context propagation into dials — because the
 // paper's multi-client throughput numbers (§5–6) are only trustworthy
 // while those invariants hold under concurrency.
@@ -395,7 +394,6 @@ func filterSuppressed(fset *token.FileSet, files []*ast.File, diags []Diagnostic
 func All() []*Analyzer {
 	return []*Analyzer{
 		ReleaseCheck,
-		PoolDiscard,
 		XDRSym,
 		LockNet,
 		SharedWrite,

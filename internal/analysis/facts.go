@@ -11,7 +11,7 @@ import (
 // Cross-package function summaries ("facts"). PR 2's passes were
 // strictly intra-function: a pooled buffer handed to a callee was
 // assumed consumed, because nothing recorded what the callee actually
-// does with it. The fact store generalizes the releasecheck/pooldiscard
+// does with it. The fact store generalizes the releasecheck
 // ownership conventions into interprocedural summaries: while a driver
 // analyzes packages in dependency order (RunAll), each package records
 // what its functions do — this callee consumes its buffer argument,

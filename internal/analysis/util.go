@@ -134,3 +134,36 @@ func exprObj(info *types.Info, e ast.Expr) types.Object {
 	}
 	return info.Defs[id]
 }
+
+// parentMap records each node's enclosing node within root.
+func parentMap(root ast.Node) map[ast.Node]ast.Node {
+	parents := make(map[ast.Node]ast.Node)
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if len(stack) > 0 {
+			parents[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return parents
+}
+
+// containsNode reports whether target occurs within root.
+func containsNode(root, target ast.Node) bool {
+	if root == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == target {
+			found = true
+		}
+		return !found
+	})
+	return found
+}

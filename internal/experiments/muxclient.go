@@ -21,8 +21,9 @@ import (
 // real data plane rather than the simulator: how many calls/s does one
 // server sustain as concurrent callers multiply, with the multiplexed
 // session (protocol v2: pipelined frames, demuxed replies, coalesced
-// vectored writes) versus the lockstep pooled path (protocol v1: one
-// exchange in flight per pooled connection)? The sweep mirrors
+// vectored writes) versus the paper's own setup against a lockstep
+// (DisableMux) server: one Client, and so one connection with one
+// exchange in flight, per concurrent caller? The sweep mirrors
 // BenchmarkMuxVsLockstep; a full (non-quick) run additionally records
 // the cells machine-readably in BENCH_multiclient.json so the perf
 // trajectory of the data plane is tracked in-repo.
@@ -67,7 +68,7 @@ type muxSweepFile struct {
 func init() {
 	e := &Experiment{
 		ID:       "multiclient-mux",
-		Title:    "multi-client calls/s, multiplexed session vs lockstep pool (real system, loopback)",
+		Title:    "multi-client calls/s, multiplexed session vs one lockstep client per caller (real system, loopback)",
 		Artifact: "§4 multi-client throughput",
 	}
 	e.Run = func(w io.Writer, opts Options) error {
@@ -173,29 +174,34 @@ func runMuxSweep(w io.Writer, opts Options) error {
 
 // runMuxCell measures one sweep cell: calls echo exchanges of elems
 // float64s spread over nc concurrent callers against a fresh server.
-// The measurement is the best of a few rounds on one warmed client —
-// these hosts are shared and a single round is at the mercy of
-// whatever else the machine was doing during its tenths of a second.
+// mux callers share one Client; the lockstep baseline runs against a
+// DisableMux server with one Client (one connection) per caller, so
+// lockstep loses on per-call overhead, not on callers queueing for a
+// connection. The measurement is the best of a few rounds on warmed
+// clients — these hosts are shared and a single round is at the mercy
+// of whatever else the machine was doing during its tenths of a second.
 func runMuxCell(mux bool, nc, elems, calls int) (muxCell, error) {
-	s, dial, err := startRealServer(server.Config{PEs: 4})
+	s, dial, err := startRealServer(server.Config{PEs: 4, DisableMux: !mux})
 	if err != nil {
 		return muxCell{}, err
 	}
 	defer s.Close()
-	c, err := ninf.NewClient(dial)
-	if err != nil {
-		return muxCell{}, err
-	}
-	defer c.Close()
-	c.SetMultiplexing(mux)
+	nclients := 1
 	if !mux {
-		// The fair fight: one pooled connection per concurrent caller,
-		// so lockstep loses on per-call overhead, not pool starvation.
-		c.SetPoolSize(nc)
+		nclients = nc
 	}
-	warm := make([]float64, elems)
-	if _, err := c.Call("echo", elems, warm, make([]float64, elems)); err != nil {
-		return muxCell{}, err
+	clients := make([]*ninf.Client, nclients)
+	for i := range clients {
+		c, err := ninf.NewClient(dial)
+		if err != nil {
+			return muxCell{}, err
+		}
+		defer c.Close()
+		warm := make([]float64, elems)
+		if _, err := c.Call("echo", elems, warm, make([]float64, elems)); err != nil {
+			return muxCell{}, err
+		}
+		clients[i] = c
 	}
 
 	// Best-of-3 for every size: the first 8 MiB round pays page-fault
@@ -204,7 +210,7 @@ func runMuxCell(mux bool, nc, elems, calls int) (muxCell, error) {
 	rounds := 3
 	best := muxCell{}
 	for r := 0; r < rounds; r++ {
-		cell, err := muxCellRound(c, mux, nc, elems, calls)
+		cell, err := muxCellRound(clients, mux, nc, elems, calls)
 		if err != nil {
 			return muxCell{}, err
 		}
@@ -356,8 +362,9 @@ func runMixedCell(mode string, threshold, smallCalls int) (mixedCell, error) {
 	}, nil
 }
 
-// muxCellRound runs one timed round of a cell's workload.
-func muxCellRound(c *ninf.Client, mux bool, nc, elems, calls int) (muxCell, error) {
+// muxCellRound runs one timed round of a cell's workload, caller w
+// issuing its calls on clients[w % len(clients)].
+func muxCellRound(clients []*ninf.Client, mux bool, nc, elems, calls int) (muxCell, error) {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -373,7 +380,7 @@ func muxCellRound(c *ninf.Client, mux bool, nc, elems, calls int) (muxCell, erro
 			continue
 		}
 		wg.Add(1)
-		go func(n int) {
+		go func(c *ninf.Client, n int) {
 			defer wg.Done()
 			in := make([]float64, elems)
 			out := make([]float64, elems)
@@ -387,7 +394,7 @@ func muxCellRound(c *ninf.Client, mux bool, nc, elems, calls int) (muxCell, erro
 					return
 				}
 			}
-		}(n)
+		}(clients[wkr%len(clients)], n)
 	}
 	wg.Wait()
 	if firstErr != nil {

@@ -20,7 +20,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -825,9 +824,4 @@ func PolicyByName(name string) (Policy, error) {
 	default:
 		return nil, fmt.Errorf("metaserver: unknown policy %q", name)
 	}
-}
-
-// SortSnapshotsByName orders snapshots for stable test output.
-func SortSnapshotsByName(s []*Snapshot) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Name < s[j].Name })
 }

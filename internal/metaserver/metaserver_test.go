@@ -3,6 +3,7 @@ package metaserver
 import (
 	"errors"
 	"net"
+	"sort"
 	"testing"
 	"time"
 
@@ -73,7 +74,7 @@ func TestPollOnce(t *testing.T) {
 		t.Errorf("PollOnce = %d, want 1", ok)
 	}
 	snaps := m.Servers()
-	SortSnapshotsByName(snaps)
+	sortByName(snaps)
 	if snaps[0].Name != "alpha" || !snaps[0].Alive || snaps[0].Stats.PEs != 4 {
 		t.Errorf("alpha snapshot = %+v", snaps[0])
 	}
@@ -86,7 +87,7 @@ func TestPollOnce(t *testing.T) {
 	}
 	m.PollOnce()
 	snaps = m.Servers()
-	SortSnapshotsByName(snaps)
+	sortByName(snaps)
 	if snaps[1].Alive {
 		t.Error("ghost alive after reaching failure threshold")
 	}
@@ -417,4 +418,9 @@ func TestMonitorLoop(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("monitor never polled")
+}
+
+// sortByName orders snapshots for stable assertions.
+func sortByName(s []*Snapshot) {
+	sort.Slice(s, func(i, j int) bool { return s[i].Name < s[j].Name })
 }

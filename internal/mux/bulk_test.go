@@ -127,10 +127,11 @@ func dialBulkSession(t *testing.T, handle bulkHandler) (*Session, net.Conn) {
 	t.Helper()
 	cc, sc := net.Pipe()
 	go fakeBulkServer(t, sc, handle)
-	version, err := Negotiate(cc, 0)
+	hello, err := Negotiate(cc, 0)
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)
 	}
+	version := int(hello.Version)
 	if version != protocol.MuxVersionBulk {
 		t.Fatalf("negotiated version %d, want %d", version, protocol.MuxVersionBulk)
 	}

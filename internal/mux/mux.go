@@ -45,9 +45,11 @@ import (
 	"ninf/internal/protocol"
 )
 
-// ErrLegacy reports that the peer answered MsgHello with an error:
-// it predates the multiplexed protocol. The caller should close the
-// connection and stay on the lockstep path.
+// ErrLegacy reports that the peer answered MsgHello with a complete
+// reply other than MsgHelloOK: it serves the lockstep protocol only
+// (it predates the multiplexed protocol or has it disabled). The
+// connection carried one complete lockstep exchange and stays in frame
+// sync, so the caller may keep using it lockstep.
 var ErrLegacy = errors.New("mux: peer speaks the lockstep protocol only")
 
 // errSessionClosed is the failure cause recorded by a local Close. It
@@ -55,35 +57,15 @@ var ErrLegacy = errors.New("mux: peer speaks the lockstep protocol only")
 // (and its closed-client refinement) applies unchanged.
 var errSessionClosed = fmt.Errorf("mux: session closed: %w", net.ErrClosed)
 
-// Negotiate upgrades conn to the multiplexed protocol: it sends
-// MsgHello and reads the reply, both in version-1 framing. On success
-// it returns the negotiated version — protocol.MuxVersion for a plain
-// mux peer, protocol.MuxVersionBulk when both sides speak chunked bulk
-// frames — and every subsequent frame on conn must use version-2
-// framing. ErrLegacy means the peer is a version-1 server (it answered
-// with MsgError); the connection has carried a complete lockstep
-// exchange and is technically still in sync, but callers are expected
-// to close it and fall back. Any other error is a transport fault.
-func Negotiate(conn net.Conn, maxPayload int) (int, error) {
-	v, _, err := NegotiateFlags(conn, maxPayload)
-	return v, err
-}
-
-// NegotiateFlags is Negotiate returning also the server's capability
-// flags from the HelloReply trailer (zero from pre-cache servers):
-// HelloFlagArgCache says the peer runs an enabled argument cache, the
-// precondition for the session to emit digest references.
-func NegotiateFlags(conn net.Conn, maxPayload int) (int, uint32, error) {
-	rep, err := NegotiateHello(conn, maxPayload)
-	return int(rep.Version), rep.Flags, err
-}
-
-// NegotiateHello performs the MsgHello exchange and returns the
-// server's full reply: the chosen version, the capability flags, and —
-// from crash-recovery journal servers — the incarnation epoch, which
-// lets the caller detect a server restart across reconnects (epoch 0
-// means the server does not advertise one).
-func NegotiateHello(conn net.Conn, maxPayload int) (protocol.HelloReply, error) {
+// Negotiate offers conn the multiplexed protocol: it sends MsgHello
+// and reads the reply, both in version-1 framing. On success it
+// returns the server's HelloReply — the chosen version
+// (protocol.MuxVersion, MuxVersionBulk or MuxVersionCache), the
+// capability flags, and from crash-recovery journal servers the
+// incarnation epoch (0 when not advertised) — and every subsequent
+// frame on conn must use version-2 framing. Any other complete reply
+// is ErrLegacy; any other error is a transport or decode fault.
+func Negotiate(conn net.Conn, maxPayload int) (protocol.HelloReply, error) {
 	req := protocol.HelloRequest{MaxVersion: protocol.MuxVersionCache}
 	if err := protocol.WriteFrame(conn, protocol.MsgHello, req.Encode()); err != nil {
 		return protocol.HelloReply{}, err
@@ -92,24 +74,17 @@ func NegotiateHello(conn net.Conn, maxPayload int) (protocol.HelloReply, error) 
 	if err != nil {
 		return protocol.HelloReply{}, err
 	}
-	switch t {
-	case protocol.MsgHelloOK:
-		rep, err := protocol.DecodeHelloReply(p)
-		if err != nil {
-			return protocol.HelloReply{}, err
-		}
-		if rep.Version < protocol.MuxVersion || rep.Version > protocol.MuxVersionCache {
-			return protocol.HelloReply{}, fmt.Errorf("mux: peer chose unsupported version %d", rep.Version)
-		}
-		return rep, nil
-	case protocol.MsgError:
-		// A pre-mux server rejects the unknown frame type; a post-mux
-		// server never answers Hello with an error. Either way the
-		// lockstep path is the one to use.
+	if t != protocol.MsgHelloOK {
 		return protocol.HelloReply{}, ErrLegacy
-	default:
-		return protocol.HelloReply{}, fmt.Errorf("mux: unexpected reply %v to hello", t)
 	}
+	rep, err := protocol.DecodeHelloReply(p)
+	if err != nil {
+		return protocol.HelloReply{}, err
+	}
+	if rep.Version < protocol.MuxVersion || rep.Version > protocol.MuxVersionCache {
+		return protocol.HelloReply{}, fmt.Errorf("mux: peer chose unsupported version %d", rep.Version)
+	}
+	return rep, nil
 }
 
 // maxWriteBatch bounds how many queued frames one vectored write

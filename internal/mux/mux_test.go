@@ -67,11 +67,11 @@ func dialSession(t *testing.T, handle func(typ protocol.MsgType, seq uint32, pay
 	t.Helper()
 	cc, sc := net.Pipe()
 	go fakeMuxServer(t, sc, handle)
-	version, err := Negotiate(cc, 0)
+	hello, err := Negotiate(cc, 0)
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)
 	}
-	s := New(cc, 0, version)
+	s := New(cc, 0, int(hello.Version))
 	t.Cleanup(func() {
 		s.Close()
 		sc.Close()

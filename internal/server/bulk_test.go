@@ -281,9 +281,9 @@ func TestMuxBulkConnCutMidReassembly(t *testing.T) {
 		defer close(done)
 		s.ServeConn(sc)
 	}()
-	version, err := mux.Negotiate(cc, 0)
-	if err != nil || version < protocol.MuxVersionBulk {
-		t.Fatalf("negotiate: %d %v", version, err)
+	hello, err := mux.Negotiate(cc, 0)
+	if err != nil || hello.Version < protocol.MuxVersionBulk {
+		t.Fatalf("negotiate: %d %v", hello.Version, err)
 	}
 	// Hand-write a begin for a 1 MiB message, one chunk, then cut.
 	m := protocol.RawBulkMsg(protocol.MsgCall, make([]byte, 1<<20))
@@ -377,8 +377,8 @@ func TestMuxBulkAbortedReplyKeepsPoolSound(t *testing.T) {
 			defer close(done)
 			s.ServeConn(sc)
 		}()
-		if version, err := mux.Negotiate(cc, 0); err != nil || version < protocol.MuxVersionBulk {
-			t.Fatalf("negotiate: %d %v", version, err)
+		if hello, err := mux.Negotiate(cc, 0); err != nil || hello.Version < protocol.MuxVersionBulk {
+			t.Fatalf("negotiate: %d %v", hello.Version, err)
 		}
 		req, err := protocol.EncodeCallRequestBuf(info, &protocol.CallRequest{
 			Name: "double_it", Args: []idl.Value{int64(n), bigVec(n), nil}})

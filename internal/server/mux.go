@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -43,8 +44,8 @@ import (
 const DefaultMuxConcurrency = 64
 
 // muxReply is one sequenced reply awaiting the serialized writer.
-// Exactly one of fb (complete frame, possibly nil for payload-less
-// replies) or bulk (chunk-streamed reply) is used; bulk wins when set.
+// Exactly one of fb (complete frame) or bulk (chunk-streamed reply) is
+// used; bulk wins when set.
 // sent, when non-nil, runs after the reply is confirmed written — the
 // hook fetch uses to keep its job until the reply is really on the
 // wire (a reply lost with the session must leave the job fetchable),
@@ -72,11 +73,11 @@ func (u *muxUpgrade) Error() string { return "server: upgrade to mux framing" }
 func (s *Server) hello(conn net.Conn, payload []byte) error {
 	req, err := protocol.DecodeHelloRequest(payload)
 	if err != nil {
-		return s.sendError(conn, protocol.CodeBadArguments, err.Error())
+		return protocol.WriteFrame(conn, protocol.MsgError, protocol.EncodeErrorReply(protocol.CodeBadArguments, err.Error()))
 	}
 	if s.cfg.DisableMux || req.MaxVersion < protocol.MuxVersion {
-		return s.sendError(conn, protocol.CodeInternal,
-			fmt.Sprintf("unexpected frame %v", protocol.MsgHello))
+		return protocol.WriteFrame(conn, protocol.MsgError, protocol.EncodeErrorReply(protocol.CodeInternal,
+			fmt.Sprintf("unexpected frame %v", protocol.MsgHello)))
 	}
 	version := req.MaxVersion
 	if version > protocol.MuxVersionCache {
@@ -148,7 +149,7 @@ func (s *Server) serveMux(conn net.Conn, client string, version int) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			t, rb, bm, sent := s.muxReplyFor(client, typ, fb, bulk, bulkOK, cacheOK)
+			t, rb, bm, sent := s.replyFor(nil, client, typ, fb, bulk, bulkOK, cacheOK)
 			replies <- muxReply{seq: seq, t: t, fb: rb, bulk: bm, sent: sent}
 		}()
 	}
@@ -288,7 +289,8 @@ func (s *Server) muxWriteLoop(conn net.Conn, replies <-chan muxReply, outstandin
 		if len(batch) > 0 {
 			bufs = bufs[:0]
 			for i := range batch {
-				bufs = append(bufs, stampReply(batch[i]))
+				protocol.StampMux(batch[i].fb, batch[i].t, batch[i].seq)
+				bufs = append(bufs, batch[i].fb)
 			}
 			if !broken {
 				// muxWriteLoop is the connection's serialization point.
@@ -362,7 +364,7 @@ func takeReply(r muxReply, batch *[]muxReply, active *[]*bulkFlight) {
 func (s *Server) bulkReplyStep(conn net.Conn, bf *bulkFlight) (bool, error) {
 	if !bf.begun {
 		fb := bf.r.bulk.EncodeBegin()
-		//lint:ninflint sharedwrite,featgate — muxWriteLoop IS the serialization point; replies enter bulkq only via bulkOK-gated muxReplyFor
+		//lint:ninflint sharedwrite,featgate — muxWriteLoop IS the serialization point; replies enter bulkq only via bulkOK-gated replyFor
 		err := protocol.WriteMuxFrameBuf(conn, protocol.MsgBulkBegin, bf.r.seq, fb)
 		fb.Release()
 		if err != nil {
@@ -383,59 +385,50 @@ const maxMuxWriteBatch = 64
 // before the writer rotates to the next.
 const bulkBurstChunks = 4
 
-// stampReply stamps one reply's mux header, materializing an empty
-// buffer for payload-less replies (Pong).
-func stampReply(r muxReply) *protocol.Buffer {
-	//lint:ninflint releasecheck — a materialized empty buffer's ownership flows out through the return
-	fb := r.fb
-	if fb == nil {
-		fb = protocol.AcquireBuffer(0)
-	}
-	protocol.StampMux(fb, r.t, r.seq)
-	return fb
+// errReply builds a MsgError reply buffer (nil sent hook).
+func errReply(code uint32, detail string) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
+	return errReplyHint(code, detail, 0)
 }
 
-// muxErrReply builds a MsgError reply buffer (nil sent hook).
-func muxErrReply(code uint32, detail string) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
-	return muxErrReplyHint(code, detail, 0)
-}
-
-// muxErrReplyHint is muxErrReply carrying a retry-after hint on
-// overload rejections.
-func muxErrReplyHint(code uint32, detail string, retryAfterMillis uint32) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
+// errReplyHint is errReply carrying a retry-after hint on overload
+// rejections.
+func errReplyHint(code uint32, detail string, retryAfterMillis uint32) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
 	return protocol.MsgError, protocol.BufferFor(protocol.EncodeErrorReplyHint(code, detail, retryAfterMillis)), nil, nil
 }
 
-// muxReplyFor services one sequenced request and returns its reply —
-// a complete frame buffer, or a BulkMsg for the writer to stream
-// chunked. It owns fb and releases it once the payload is decoded
-// (bulk requests included: admit copies every argument out of the
-// reassembly buffer). A chunked Call reply carries the task's sent
-// hook, which returns the result arrays its spans alias to the pool.
-// bulk carries the segment metadata of a reassembled chunked request;
-// bulkOK says the peer accepts chunked replies. It runs on a dispatch
-// goroutine: any number of these proceed concurrently on one
-// connection, so nothing here may touch the connection — replies go
-// back through the serialized writer.
+// replyFor services one request and returns its reply — a complete
+// frame buffer, or a BulkMsg for the
+// writer to stream chunked. Both framings use it: serveMux for
+// sequenced requests, and the lockstep dispatch with bulkOK and
+// cacheOK false. It owns fb and releases it once the payload is
+// decoded (bulk requests included: admit copies every argument out of
+// the reassembly buffer). The sent hook, when non-nil, must run only
+// after the reply is confirmed written: fetch marks its job delivered
+// there, and a chunked Call reply returns the result arrays its spans
+// alias to the pool. bulk carries the segment metadata of a
+// reassembled chunked request; bulkOK says the peer accepts chunked
+// replies. On the mux path any number of these run concurrently on
+// one connection, so nothing here may touch the connection — replies
+// go back through the serialized writer.
 //
-// Blocking calls run without a callback invoker: the connection
-// carries interleaved sequenced frames, not the quiet parked stream
-// the §2.3 callback facility needs, so executables that call back get
-// ErrNoCallback (clients with registered callbacks stay on the
-// lockstep path).
-func (s *Server) muxReplyFor(client string, typ protocol.MsgType, fb *protocol.Buffer, bulk *protocol.BulkInfo, bulkOK, cacheOK bool) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
+// ctx is a blocking call's execution context: the lockstep dispatch
+// passes one carrying the §2.3 callback invoker. The mux path passes
+// nil — its connection carries interleaved sequenced frames, not the
+// quiet parked stream callbacks need — so executables that call back
+// get ErrNoCallback (clients with registered callbacks stay lockstep).
+func (s *Server) replyFor(ctx context.Context, client string, typ protocol.MsgType, fb *protocol.Buffer, bulk *protocol.BulkInfo, bulkOK, cacheOK bool) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
 	payload := fb.Payload()
 	if bulk != nil {
 		if typ != protocol.MsgCall && typ != protocol.MsgSubmit {
 			fb.Release()
-			return muxErrReply(protocol.CodeBadArguments, fmt.Sprintf("unexpected bulk frame %v", typ))
+			return errReply(protocol.CodeBadArguments, fmt.Sprintf("unexpected bulk frame %v", typ))
 		}
 		payload = bulk.Head()
 	}
 	switch typ {
 	case protocol.MsgPing:
 		fb.Release()
-		return protocol.MsgPong, nil, nil, nil
+		return protocol.MsgPong, protocol.AcquireBuffer(0), nil, nil
 
 	case protocol.MsgList:
 		fb.Release()
@@ -455,28 +448,28 @@ func (s *Server) muxReplyFor(client string, typ protocol.MsgType, fb *protocol.B
 		req, err := protocol.DecodeInterfaceRequest(payload)
 		fb.Release()
 		if err != nil {
-			return muxErrReply(protocol.CodeBadArguments, err.Error())
+			return errReply(protocol.CodeBadArguments, err.Error())
 		}
 		ex := s.registry.Lookup(req.Name)
 		if ex == nil {
-			return muxErrReply(protocol.CodeUnknownRoutine, fmt.Sprintf("no routine %q", req.Name))
+			return errReply(protocol.CodeUnknownRoutine, fmt.Sprintf("no routine %q", req.Name))
 		}
 		p, err := protocol.EncodeInterfaceReply(ex.Info)
 		if err != nil {
-			return muxErrReply(protocol.CodeInternal, err.Error())
+			return errReply(protocol.CodeInternal, err.Error())
 		}
 		return protocol.MsgInterfaceOK, protocol.BufferFor(p), nil, nil
 
 	case protocol.MsgCall:
 		bulk = s.attachCache(bulk, payload, cacheOK)
-		t, code, hint, err := s.admit(payload, bulk, false, nil, 0, client)
+		t, code, hint, err := s.admit(payload, bulk, false, ctx, 0, client)
 		fb.Release() // arguments are decoded and copied by admit
 		if err != nil {
-			return muxErrReplyHint(code, err.Error(), hint)
+			return errReplyHint(code, err.Error(), hint)
 		}
 		<-t.done
 		if t.err != nil {
-			return muxErrReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
+			return errReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
 		}
 		if bulkOK {
 			// Large results stream back chunked; the BulkMsg's segment
@@ -488,7 +481,7 @@ func (s *Server) muxReplyFor(client string, typ protocol.MsgType, fb *protocol.B
 			bm, err := protocol.EncodeCallReplyChunks(t.ex.Info, t.timings, t.call.Args, s.bulkThreshold())
 			if err != nil {
 				t.releaseArgs()
-				return muxErrReply(protocol.CodeInternal, err.Error())
+				return errReply(protocol.CodeInternal, err.Error())
 			}
 			if bm != nil {
 				return protocol.MsgCallOK, nil, bm, t.releaseArgs
@@ -497,7 +490,7 @@ func (s *Server) muxReplyFor(client string, typ protocol.MsgType, fb *protocol.B
 		reply, err := protocol.EncodeCallReplyBuf(t.ex.Info, t.timings, t.call.Args)
 		t.releaseArgs() // the reply frame holds its own copy
 		if err != nil {
-			return muxErrReply(protocol.CodeInternal, err.Error())
+			return errReply(protocol.CodeInternal, err.Error())
 		}
 		return protocol.MsgCallOK, reply, nil, nil
 
@@ -505,13 +498,13 @@ func (s *Server) muxReplyFor(client string, typ protocol.MsgType, fb *protocol.B
 		key, rest, err := protocol.DecodeSubmitKey(payload)
 		if err != nil {
 			fb.Release()
-			return muxErrReply(protocol.CodeBadArguments, err.Error())
+			return errReply(protocol.CodeBadArguments, err.Error())
 		}
 		bulk = s.attachCache(bulk, rest, cacheOK)
 		t, code, hint, err := s.admit(rest, bulk, true, nil, key, client)
 		fb.Release()
 		if err != nil {
-			return muxErrReplyHint(code, err.Error(), hint)
+			return errReplyHint(code, err.Error(), hint)
 		}
 		reply := protocol.SubmitReply{JobID: t.job.ID}
 		return protocol.MsgSubmitOK, protocol.BufferFor(reply.Encode()), nil, nil
@@ -520,18 +513,18 @@ func (s *Server) muxReplyFor(client string, typ protocol.MsgType, fb *protocol.B
 		req, err := protocol.DecodeFetchRequest(payload)
 		fb.Release()
 		if err != nil {
-			return muxErrReply(protocol.CodeBadArguments, err.Error())
+			return errReply(protocol.CodeBadArguments, err.Error())
 		}
-		return s.muxFetch(req, bulkOK)
+		return s.fetchReply(req, bulkOK)
 
 	case protocol.MsgCallDigest:
 		digs, err := protocol.DecodeDigestQuery(payload)
 		fb.Release()
 		if err != nil {
-			return muxErrReply(protocol.CodeBadArguments, err.Error())
+			return errReply(protocol.CodeBadArguments, err.Error())
 		}
 		if !cacheOK {
-			return muxErrReply(protocol.CodeInternal, "argument cache disabled")
+			return errReply(protocol.CodeInternal, "argument cache disabled")
 		}
 		warm := make([]bool, len(digs))
 		for i, d := range digs {
@@ -543,20 +536,20 @@ func (s *Server) muxReplyFor(client string, typ protocol.MsgType, fb *protocol.B
 		d, err := protocol.DecodeDataHandleRequest(payload)
 		fb.Release()
 		if err != nil {
-			return muxErrReply(protocol.CodeBadArguments, err.Error())
+			return errReply(protocol.CodeBadArguments, err.Error())
 		}
 		if !cacheOK {
-			return muxErrReply(protocol.CodeInternal, "argument cache disabled")
+			return errReply(protocol.CodeInternal, "argument cache disabled")
 		}
 		b, ok := s.cache.get(d)
 		if !ok {
-			return muxErrReply(protocol.CodeCacheMiss, fmt.Sprintf("no cached value %v", d))
+			return errReply(protocol.CodeCacheMiss, fmt.Sprintf("no cached value %v", d))
 		}
 		return protocol.MsgDataHandleOK, protocol.EncodeDataHandleReplyBuf(d, b), nil, nil
 
 	default:
 		fb.Release()
-		return muxErrReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", typ))
+		return errReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", typ))
 	}
 }
 
@@ -578,24 +571,24 @@ func (s *Server) attachCache(bulk *protocol.BulkInfo, head []byte, cacheOK bool)
 	return bulk
 }
 
-// muxFetch is fetch for the mux path. Like the lockstep fetch it must
-// not mark the job delivered until the reply frame is on the wire — a
-// reply lost with the session must leave the job fully fetchable for
-// the client's retried fetch on a fresh session. The writer owns the
-// wire here, so delivery rides the reply's sent hook: muxWriteLoop
-// runs it only after a successful write, and the job then lingers
-// re-fetchable for DeliveredTTL (see markDeliveredLocked) to cover a
-// written-but-lost reply. Large stored results stream back chunked
-// (the BulkMsg aliases the job's pre-encoded reply, which the linger
-// keeps live until well past the write). Wait:true degrades to
-// not-ready polling, as the client wire protocol always sets
-// Wait:false.
-func (s *Server) muxFetch(req protocol.FetchRequest, bulkOK bool) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
+// fetchReply answers a MsgFetch: unknown job, not ready, the job's
+// error, or its retained reply. A finished job's answer — result or
+// error alike — is a delivery, but the job must not be marked
+// delivered until the reply is on the wire: a reply lost with the
+// connection must leave the job fully fetchable for the client's
+// retried fetch. Delivery therefore rides the reply's sent hook, which
+// both framings run only after a successful write; the job then
+// lingers re-fetchable for DeliveredTTL (see markDeliveredLocked) to
+// cover a written-but-lost reply. Large stored results stream back
+// chunked (the BulkMsg aliases the job's pre-encoded reply, which the
+// linger keeps live until well past the write). Wait:true blocks until
+// the job finishes; the client always sends Wait:false and polls.
+func (s *Server) fetchReply(req protocol.FetchRequest, bulkOK bool) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
 	s.mu.Lock()
 	t, ok := s.jobs[req.JobID]
 	s.mu.Unlock()
 	if !ok {
-		return muxErrReply(protocol.CodeUnknownJob, fmt.Sprintf("no job %d", req.JobID))
+		return errReply(protocol.CodeUnknownJob, fmt.Sprintf("no job %d", req.JobID))
 	}
 	if req.Wait {
 		<-t.done
@@ -603,15 +596,16 @@ func (s *Server) muxFetch(req protocol.FetchRequest, bulkOK bool) (protocol.MsgT
 	select {
 	case <-t.done:
 	default:
-		return muxErrReply(protocol.CodeNotReady, fmt.Sprintf("job %d still running", req.JobID))
-	}
-	if t.err != nil {
-		return muxErrReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
+		return errReply(protocol.CodeNotReady, fmt.Sprintf("job %d still running", req.JobID))
 	}
 	sent := func() {
 		s.mu.Lock()
 		s.markDeliveredLocked(req.JobID, t)
 		s.mu.Unlock()
+	}
+	if t.err != nil {
+		rt, fb, _, _ := errReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
+		return rt, fb, nil, sent
 	}
 	if thr := s.bulkThreshold(); bulkOK && thr > 0 && len(t.reply) >= thr {
 		return protocol.MsgFetchOK, nil, protocol.RawBulkMsg(protocol.MsgFetchOK, t.reply), sent

@@ -18,11 +18,11 @@ func muxSession(t *testing.T, s *Server) *mux.Session {
 	cc, sc := net.Pipe()
 	go s.ServeConn(sc)
 	t.Cleanup(func() { sc.Close() })
-	version, err := mux.Negotiate(cc, 0)
+	hello, err := mux.Negotiate(cc, 0)
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)
 	}
-	sess := mux.New(cc, 0, version)
+	sess := mux.New(cc, 0, int(hello.Version))
 	t.Cleanup(func() { sess.Close() })
 	return sess
 }
@@ -241,5 +241,65 @@ func TestMuxSubmitFetch(t *testing.T) {
 			t.Fatalf("fetched result %v", w)
 		}
 		break
+	}
+}
+
+// TestFetchFailedJobSameOverBothFramings pins one fetch semantics for
+// the lockstep and the mux framing: a failed job's error reply is a
+// delivery. It is marked delivered once written (journaled as fetched,
+// its life shortened to DeliveredTTL), yet stays re-fetchable during
+// that linger, like a delivered result.
+func TestFetchFailedJobSameOverBothFramings(t *testing.T) {
+	for _, framing := range []string{"lockstep", "mux"} {
+		t.Run(framing, func(t *testing.T) {
+			reg, _ := testRegistry(t)
+			s := New(Config{JobTTL: time.Hour, DeliveredTTL: time.Minute}, reg)
+			defer s.Close()
+			var exchange func(typ protocol.MsgType, payload []byte) (protocol.MsgType, []byte)
+			if framing == "mux" {
+				sess := muxSession(t, s)
+				exchange = func(typ protocol.MsgType, payload []byte) (protocol.MsgType, []byte) {
+					rt, fb, _, err := sess.Roundtrip(context.Background(), typ, protocol.BufferFor(payload))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer fb.Release()
+					return rt, append([]byte(nil), fb.Payload()...)
+				}
+			} else {
+				conn := pipeConn(t, s)
+				exchange = func(typ protocol.MsgType, payload []byte) (protocol.MsgType, []byte) {
+					return call(t, conn, typ, payload)
+				}
+			}
+
+			typ, p := exchange(protocol.MsgSubmit, submitPayload(7, encodeCall(t, reg, "boom", int64(1))))
+			if typ != protocol.MsgSubmitOK {
+				t.Fatalf("submit → %v", typ)
+			}
+			sr, err := protocol.DecodeSubmitReply(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr := protocol.FetchRequest{JobID: sr.JobID, Wait: true}
+			for i := 0; i < 2; i++ { // the second fetch runs during the delivered linger
+				typ, p = exchange(protocol.MsgFetch, fr.Encode())
+				if typ != protocol.MsgError {
+					t.Fatalf("fetch %d of a failed job → %v", i, typ)
+				}
+				if er, _ := protocol.DecodeErrorReply(p); er.Code != protocol.CodeExecFailed {
+					t.Fatalf("fetch %d: code %d, want exec-failed", i, er.Code)
+				}
+			}
+			s.mu.Lock()
+			delivered := s.jobs[sr.JobID].delivered
+			s.mu.Unlock()
+			if !delivered {
+				t.Error("failed job not marked delivered after its error was written")
+			}
+			if n := s.ExpireJobs(time.Now().Add(2 * time.Minute)); n != 1 {
+				t.Errorf("expired %d jobs past DeliveredTTL, want the delivered failed job", n)
+			}
+		})
 	}
 }

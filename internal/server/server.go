@@ -780,9 +780,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 // peer address plus a per-connection serial. The serial matters
 // because distinct clients can share an address (loopback tests,
 // net.Pipe's constant "pipe", NATed sites), so identity is really
-// per-connection — one multiplexed session is one client, which is
-// the data plane's norm; a lockstep client gets one identity per
-// pooled connection.
+// per-connection — and a Client holds one connection, so one
+// identity per Client, multiplexed or lockstep.
 func (s *Server) clientID(conn net.Conn) string {
 	addr := "conn"
 	if ra := conn.RemoteAddr(); ra != nil {
@@ -791,120 +790,39 @@ func (s *Server) clientID(conn net.Conn) string {
 	return fmt.Sprintf("%s#%d", addr, s.connSeq.Add(1))
 }
 
-// dispatch handles one request frame. It owns fb and releases it once
-// the payload has been decoded — before waiting on execution, so a
-// large argument frame is not pinned while the executable runs.
+// dispatch answers one lockstep request frame, owning fb. Every verb's
+// reply comes from replyFor, the handler the multiplexed loop uses, at
+// feature level 1 (no chunked replies, no argument cache). Only the
+// Hello upgrade and the callback context of a blocking call are
+// lockstep-specific. The reply is written in version-1 framing, and
+// its sent hook runs only after a successful write.
 //
-// Shared-writer audit: dispatch (and the helpers it calls — sendError,
-// fetch, connInvoker) writes to conn directly. That is safe on the
+// Shared-writer audit: dispatch (and connInvoker, which a blocking
+// call's executable uses) writes to conn directly. That is safe on the
 // lockstep path only because ServeConn services one frame at a time on
 // one goroutine, so at most one writer exists per connection. The mux
-// path runs dispatches concurrently and must instead route every reply
+// path runs replyFor concurrently and must instead route every reply
 // through serveMux's serialized writer; the ninflint sharedwrite pass
 // flags conn writes from dispatch goroutines.
 func (s *Server) dispatch(conn net.Conn, client string, typ protocol.MsgType, fb *protocol.Buffer) error {
-	payload := fb.Payload()
+	var ctx context.Context
 	switch typ {
 	case protocol.MsgHello:
 		defer fb.Release()
-		return s.hello(conn, payload)
-	case protocol.MsgPing:
-		fb.Release()
-		return protocol.WriteFrame(conn, protocol.MsgPong, nil)
-
-	case protocol.MsgList:
-		fb.Release()
-		reply := protocol.ListReply{Names: s.registry.Names()}
-		return protocol.WriteFrame(conn, protocol.MsgListReply, reply.Encode())
-
-	case protocol.MsgStats:
-		fb.Release()
-		st := s.Stats()
-		return protocol.WriteFrame(conn, protocol.MsgStatsOK, st.Encode())
-
-	case protocol.MsgTrace:
-		fb.Release()
-		return protocol.WriteFrame(conn, protocol.MsgTraceOK, encodeTraces(s.Trace()))
-
-	case protocol.MsgInterface:
-		req, err := protocol.DecodeInterfaceRequest(payload)
-		fb.Release()
-		if err != nil {
-			return s.sendError(conn, protocol.CodeBadArguments, err.Error())
-		}
-		ex := s.registry.Lookup(req.Name)
-		if ex == nil {
-			return s.sendError(conn, protocol.CodeUnknownRoutine, fmt.Sprintf("no routine %q", req.Name))
-		}
-		p, err := protocol.EncodeInterfaceReply(ex.Info)
-		if err != nil {
-			return s.sendError(conn, protocol.CodeInternal, err.Error())
-		}
-		return protocol.WriteFrame(conn, protocol.MsgInterfaceOK, p)
-
+		return s.hello(conn, fb.Payload())
 	case protocol.MsgCall:
 		// Blocking calls carry a callback channel: the executable can
 		// invoke client-registered functions over this connection
 		// while it runs (§2.3).
-		ctx := context.WithValue(s.baseCtx, callbackKey, s.connInvoker(conn))
-		t, code, hint, err := s.admit(payload, nil, false, ctx, 0, client)
-		fb.Release() // arguments are decoded and copied by admit
-		if err != nil {
-			return s.sendErrorHint(conn, code, err.Error(), hint)
-		}
-		<-t.done
-		if t.err != nil {
-			return s.sendErrorHint(conn, t.failCode(), t.err.Error(), t.retryAfter)
-		}
-		reply, err := protocol.EncodeCallReplyBuf(t.ex.Info, t.timings, t.call.Args)
-		t.releaseArgs() // the reply frame holds its own copy
-		if err != nil {
-			return s.sendError(conn, protocol.CodeInternal, err.Error())
-		}
-		werr := protocol.WriteFrameBuf(conn, protocol.MsgCallOK, reply)
-		reply.Release()
-		return werr
-
-	case protocol.MsgSubmit:
-		key, rest, err := protocol.DecodeSubmitKey(payload)
-		if err != nil {
-			fb.Release()
-			return s.sendError(conn, protocol.CodeBadArguments, err.Error())
-		}
-		t, code, hint, err := s.admit(rest, nil, true, nil, key, client)
-		fb.Release()
-		if err != nil {
-			return s.sendErrorHint(conn, code, err.Error(), hint)
-		}
-		reply := protocol.SubmitReply{JobID: t.job.ID}
-		return protocol.WriteFrame(conn, protocol.MsgSubmitOK, reply.Encode())
-
-	case protocol.MsgFetch:
-		req, err := protocol.DecodeFetchRequest(payload)
-		fb.Release()
-		if err != nil {
-			return s.sendError(conn, protocol.CodeBadArguments, err.Error())
-		}
-		return s.fetch(conn, req)
-
-	default:
-		fb.Release()
-		return s.sendError(conn, protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", typ))
+		ctx = context.WithValue(s.baseCtx, callbackKey, s.connInvoker(conn))
 	}
-}
-
-// sendError writes a MsgError frame. Lockstep path only: it writes to
-// conn directly, which is safe solely because the serving goroutine is
-// the connection's one writer. Mux dispatches use muxErrReply, which
-// routes through the serialized writer instead.
-func (s *Server) sendError(conn net.Conn, code uint32, detail string) error {
-	return s.sendErrorHint(conn, code, detail, 0)
-}
-
-// sendErrorHint is sendError with an optional retry-after hint on
-// overload rejections. Same lockstep-only writer caveat.
-func (s *Server) sendErrorHint(conn net.Conn, code uint32, detail string, retryAfterMillis uint32) error {
-	return protocol.WriteFrame(conn, protocol.MsgError, protocol.EncodeErrorReplyHint(code, detail, retryAfterMillis))
+	rt, rb, _, sent := s.replyFor(ctx, client, typ, fb, nil, false, false)
+	err := protocol.WriteFrameBuf(conn, rt, rb)
+	rb.Release()
+	if err == nil && sent != nil {
+		sent()
+	}
+	return err
 }
 
 // admit decodes a call payload, runs admission control, enqueues the
@@ -1316,43 +1234,6 @@ func (s *Server) execute(t *task) (err error) {
 		}
 	}()
 	return t.ex.Handler(t.ctx, t.call.Args)
-}
-
-// fetch answers a MsgFetch: not-ready, error, or the retained reply.
-// A delivered job is not consumed on the spot: a locally successful
-// write can still be lost in transit, so the job lingers re-fetchable
-// for Config.DeliveredTTL (see markDeliveredLocked) and only then
-// leaves the table, so the client's retried fetch re-reads the
-// retained result instead of getting CodeUnknownJob and re-executing
-// the work through an idempotent re-Submit.
-func (s *Server) fetch(conn net.Conn, req protocol.FetchRequest) error {
-	s.mu.Lock()
-	t, ok := s.jobs[req.JobID]
-	s.mu.Unlock()
-	if !ok {
-		return s.sendError(conn, protocol.CodeUnknownJob, fmt.Sprintf("no job %d", req.JobID))
-	}
-	if req.Wait {
-		<-t.done
-	}
-	select {
-	case <-t.done:
-	default:
-		return s.sendError(conn, protocol.CodeNotReady, fmt.Sprintf("job %d still running", req.JobID))
-	}
-	var werr error
-	if t.err != nil {
-		werr = s.sendErrorHint(conn, t.failCode(), t.err.Error(), t.retryAfter)
-	} else {
-		werr = protocol.WriteFrame(conn, protocol.MsgFetchOK, t.reply)
-	}
-	if werr != nil {
-		return werr
-	}
-	s.mu.Lock()
-	s.markDeliveredLocked(req.JobID, t)
-	s.mu.Unlock()
-	return nil
 }
 
 // markDeliveredLocked records that a job's reply frame was written:

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"ninf/internal/idl"
@@ -13,269 +12,319 @@ import (
 	"ninf/internal/protocol"
 )
 
-// Multiplexed session routing. A client that reaches a protocol
-// version 2 server carries Call, CallAsync, Submit, Fetch and
-// interface traffic over one persistent multiplexed connection
-// (internal/mux) instead of one lockstep exchange per pooled
-// connection: requests from any number of goroutines are pipelined,
-// coalesced into vectored writes, and demultiplexed by sequence
-// number on return. Version negotiation happens once per session
-// dial; a legacy peer (or SetMultiplexing(false)) pins the client to
-// the lockstep paths, which remain intact below.
+// The client transport. A Client holds exactly one connection. Its
+// first call-plane exchange (call, submit, fetch, data handle) is
+// preceded by a MsgHello offer unless callbacks are registered: a
+// MsgHelloOK wraps the connection in a multiplexed session
+// (internal/mux) that pipelines every verb from any number of
+// goroutines, while any other complete reply leaves it a lockstep
+// connection that runs one exchange at a time — the Ninf_call
+// contract of a version-1 peer. Interface fetches and control verbs
+// do not force the offer: they run lockstep on a connection not yet
+// upgraded, so the two-stage RPC's interface fetch costs no extra
+// round trip, as on a version-1 connection. Every verb goes through
+// exchangeOn, whichever the mode. A transport fault retires the
+// connection, and the next exchange dials afresh.
 
-// sessionState holds the client's multiplexing state; embedded in
-// Client so the zero value (mux on, not yet probed) is ready to use.
-type sessionState struct {
-	mu     sync.Mutex
-	sess   *mux.Session
-	conn   net.Conn // the session's transport, checked out of the pool so closeAll severs it
-	legacy bool     // peer answered Hello as a version-1 server; sticky until SetMultiplexing(true)
-	off    bool     // SetMultiplexing(false)
-	flags  uint32   // HelloReply capability flags of the live session
+// errRetired fails an exchange whose connection was retired under it
+// (Close, or a callback registration changing the protocol it needs).
+// It wraps net.ErrClosed, so the retry loop classifies it as a
+// transport fault — or as ErrClientClosed when the client is closed.
+var errRetired = fmt.Errorf("ninf: connection retired: %w", net.ErrClosed)
+
+// A link is one exchange's hold on the client's connection: a live
+// multiplexed session, shared with concurrent exchanges, or the
+// lockstep connection held exclusively (xlock taken) until the
+// exchange ends or release gives it back.
+type link struct {
+	conn  net.Conn
+	sess  *mux.Session
+	flags uint32 // HelloReply capability flags of sess
 }
 
-// SetMultiplexing toggles the multiplexed session layer. It is on by
-// default: the client probes the server's protocol version on first
-// use and falls back to lockstep exchanges against legacy servers
-// automatically. Passing false closes any live session and pins the
-// client to the lockstep paths (useful for A/B measurement and as an
-// escape hatch); passing true re-enables probing, including against a
-// peer previously seen as legacy (it may have been upgraded since).
-func (c *Client) SetMultiplexing(on bool) {
-	c.sess.mu.Lock()
-	s, conn := c.sess.sess, c.sess.conn
-	c.sess.sess, c.sess.conn = nil, nil
-	c.sess.off = !on
-	c.sess.legacy = false
-	c.sess.mu.Unlock()
-	retireSession(c, s, conn)
+// Multiplexed reports whether the client currently holds a live
+// multiplexed session. It is false until the first call-plane exchange
+// negotiates one, and false against a DisableMux or pre-mux server or
+// while callbacks are registered.
+func (c *Client) Multiplexed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sess != nil && !c.sess.Broken()
 }
 
-// retireSession closes a session detached from the client state and
-// returns its transport to the pool's books (discard: the stream
-// carries interleaved mux frames and must never be reused).
-func retireSession(c *Client, s *mux.Session, conn net.Conn) {
+// isClosed reports whether Close ran.
+func (c *Client) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
+// link returns the client's connection for one exchange, dialing it
+// first if needed and, when upgrade is set, offering the session
+// upgrade to a connection not yet negotiated. A live session is
+// returned without serialization; anything else — dialing,
+// negotiating, and every lockstep exchange — runs under xlock, whose
+// wait ctx bounds.
+func (c *Client) link(ctx context.Context, upgrade bool) (link, error) {
+	c.mu.Lock()
+	l, closed := c.liveLocked()
+	c.mu.Unlock()
+	if closed {
+		return link{}, errClientClosed
+	}
+	if l.sess != nil {
+		return l, nil
+	}
+	select {
+	case c.xlock <- struct{}{}:
+	case <-ctx.Done():
+		return link{}, ctx.Err()
+	}
+	l, err := c.settle(ctx, upgrade)
+	if err != nil || l.sess != nil {
+		<-c.xlock
+	}
+	return l, err
+}
+
+// liveLocked returns the live session's link, if any; callers hold mu.
+func (c *Client) liveLocked() (link, bool) {
+	if c.sess != nil && !c.sess.Broken() {
+		return link{conn: c.conn, sess: c.sess, flags: c.flags}, c.closed
+	}
+	return link{}, c.closed
+}
+
+// settle brings the connection to a usable state under xlock: it
+// re-dials a retired connection and, for an upgrade, negotiates one
+// not yet negotiated. The negotiation is bounded by ctx; Close severs
+// it too, since the connection is the client's from the moment it is
+// dialed.
+func (c *Client) settle(ctx context.Context, upgrade bool) (link, error) {
+	c.mu.Lock()
+	l, closed := c.liveLocked()
+	broken := c.sess != nil && l.sess == nil
+	conn, probed := c.conn, c.probed
+	c.mu.Unlock()
+	switch {
+	case closed:
+		return link{}, errClientClosed
+	case l.sess != nil:
+		return l, nil // another exchange negotiated while this one waited
+	case broken:
+		c.drop(conn)
+		conn = nil
+	}
+	if conn == nil {
+		var err error
+		if conn, err = c.dial(); err != nil {
+			return link{}, err
+		}
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			conn.Close()
+			return link{}, errClientClosed
+		}
+		c.conn, c.probed, probed = conn, false, false
+		c.mu.Unlock()
+	}
+	if probed || !upgrade {
+		return link{conn: conn}, nil
+	}
+	if c.hasCallbacks() {
+		// The §2.3 callback facility needs the quiet parked stream of a
+		// lockstep call, so a callback-holding client never upgrades.
+		c.mu.Lock()
+		if c.conn == conn {
+			c.probed = true
+		}
+		c.mu.Unlock()
+		return link{conn: conn}, nil
+	}
+	stop := guardConn(ctx, conn)
+	hello, err := mux.Negotiate(conn, c.maxPayload)
+	if !stop() {
+		c.drop(conn)
+		if err == nil {
+			err = errRetired
+		}
+		return link{}, ctxErr(ctx, err)
+	}
+	legacy := errors.Is(err, mux.ErrLegacy)
+	if err != nil && !legacy {
+		c.drop(conn)
+		return link{}, err
+	}
+	var s *mux.Session
+	if !legacy {
+		// The hello reply carries the server's incarnation epoch (0 from
+		// journal-less servers); noting it here is how the client detects
+		// a restart at the first exchange after a re-dial, before any
+		// digest reference or data handle can hit the reborn cache.
+		c.noteEpoch(hello.Epoch)
+		s = mux.New(conn, c.maxPayload, int(hello.Version))
+	}
+	c.mu.Lock()
+	if c.conn != conn {
+		// Retired mid-handshake (Close or a callback registration).
+		c.mu.Unlock()
+		if s != nil {
+			s.Close()
+		}
+		return link{}, errRetired
+	}
+	c.sess, c.flags, c.probed = s, hello.Flags, true
+	c.mu.Unlock()
+	return link{conn: conn, sess: s, flags: hello.Flags}, nil
+}
+
+// release gives up l's hold on the connection without an exchange.
+func (c *Client) release(l link) {
+	if l.sess == nil {
+		<-c.xlock
+	}
+}
+
+// drop retires conn if it is still the client's connection — nil
+// retires whatever the client holds — and closes it. The next exchange
+// dials afresh. It never waits on xlock, so Close cannot hang behind
+// an exchange blocked on a dead server: closing the socket is what
+// unblocks that exchange.
+func (c *Client) drop(conn net.Conn) {
+	c.mu.Lock()
+	var s *mux.Session
+	if conn == nil || c.conn == conn {
+		conn, s = c.conn, c.sess
+		c.conn, c.sess, c.probed = nil, nil, false
+	}
+	c.mu.Unlock()
 	if s != nil {
 		s.Close()
 	}
 	if conn != nil {
-		c.pool.discard(conn)
+		conn.Close()
 	}
 }
 
-// Multiplexed reports whether the client currently holds a live
-// multiplexed session. It is false until a session verb runs (the
-// probe is lazy), and false forever against a legacy server.
-func (c *Client) Multiplexed() bool {
-	c.sess.mu.Lock()
-	defer c.sess.mu.Unlock()
-	return c.sess.sess != nil && !c.sess.sess.Broken()
-}
-
-// closeSession tears down the live session, if any, as part of
-// Client.Close.
-func (c *Client) closeSession() {
-	c.sess.mu.Lock()
-	s, conn := c.sess.sess, c.sess.conn
-	c.sess.sess, c.sess.conn = nil, nil
-	c.sess.mu.Unlock()
-	retireSession(c, s, conn)
-}
-
-// liveSession returns the current session only if one is already
-// established and healthy — it never dials. Interface fetches use it:
-// they ride a live session for free but must not force a session dial
-// (the stage-one RPC works over the primary lockstep connection, and
-// an eager probe would block a client whose pooled dials are dead).
-func (c *Client) liveSession() *mux.Session {
-	if c.hasCallbacks() {
-		return nil
-	}
-	c.sess.mu.Lock()
-	defer c.sess.mu.Unlock()
-	if s := c.sess.sess; s != nil && !s.Broken() {
-		return s
-	}
-	return nil
-}
-
-// session returns the live multiplexed session, dialing and
-// negotiating one if needed. A nil session with nil error means the
-// caller must use the lockstep path: multiplexing is off, the peer is
-// legacy, or the client has callbacks registered (the §2.3 callback
-// facility needs the quiet parked stream of a lockstep call and
-// cannot share a connection carrying interleaved sequenced frames).
-// ctx bounds only the dial+negotiate handshake.
-func (c *Client) session(ctx context.Context) (*mux.Session, error) {
-	if c.hasCallbacks() {
-		return nil, nil
-	}
-	c.sess.mu.Lock()
-	defer c.sess.mu.Unlock()
-	if c.sess.off || c.sess.legacy {
-		return nil, nil
-	}
-	if s := c.sess.sess; s != nil {
-		if !s.Broken() {
-			return s, nil
-		}
-		conn := c.sess.conn
-		c.sess.sess, c.sess.conn = nil, nil
-		//lint:ninflint locknet — the session is already Broken: Close and discard on its dead socket return immediately
-		retireSession(c, s, conn)
-	}
-	// Checking the connection out of the pool keeps it on the active
-	// books: Close's pool.closeAll severs a handshake blocked against a
-	// dead server, and severs the session transport itself later — the
-	// connection stays checked out for the session's whole life.
-	// sess.mu serializes session (re)establishment; pool.closeAll and
-	// guardConn both sever a handshake blocked under it.
-	conn, err := c.pool.get()
+// exchange runs one request/reply exchange over the client's
+// connection, consuming req; see exchangeOn. Only a fetch — the one
+// call-plane verb among its callers — offers the session upgrade.
+func (c *Client) exchange(ctx context.Context, t protocol.MsgType, req *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
+	l, err := c.link(ctx, t == protocol.MsgFetch)
 	if err != nil {
-		return nil, err
+		req.Release()
+		return 0, nil, nil, err
 	}
-	//lint:ninflint locknet — guardConn only registers a context callback; it performs no socket I/O
-	stop := guardConn(ctx, conn)
-	//lint:ninflint locknet — negotiation must finish before any verb uses the session; the guard (and Close) severs a black-holed handshake
-	hello, err := mux.NegotiateHello(conn, c.maxPayload)
+	return c.exchangeOn(ctx, l, t, req)
+}
+
+// exchangeOn runs one exchange on l, consuming req and ending l's hold
+// on the connection. MsgError replies become *protocol.RemoteError, and
+// a transport fault retires the connection so the enclosing withRetry
+// re-dials. A lockstep exchange is bounded by ctx through guardConn
+// and answers any callback frames the server interleaves; a mux
+// exchange abandons only its own sequence when ctx ends. A non-nil
+// BulkInfo means the peer streamed the reply chunked.
+func (c *Client) exchangeOn(ctx context.Context, l link, t protocol.MsgType, req *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
+	if l.sess != nil {
+		rt, fb, bulk, err := l.sess.Roundtrip(ctx, t, req)
+		return c.settleMux(l, rt, fb, bulk, err)
+	}
+	defer c.release(l)
+	stop := guardConn(ctx, l.conn)
+	rt, fb, err := c.lockstepRoundTrip(l.conn, t, req)
 	if !stop() {
-		//lint:ninflint locknet — discard only closes the socket (non-blocking) and updates the pool books
-		c.pool.discard(conn)
+		// ctx ended mid-exchange: the guard's Close races the exchange,
+		// so the connection goes even if the exchange completed.
+		c.drop(l.conn)
 		if err != nil {
-			return nil, ctxErr(ctx, err)
+			err = ctxErr(ctx, err)
 		}
-		return nil, ctx.Err()
-	}
-	if errors.Is(err, mux.ErrLegacy) {
-		// The refused Hello was a complete lockstep exchange, so the
-		// connection is still in frame sync — seed the pool with it.
-		c.sess.legacy = true
-		c.pool.put(conn)
-		return nil, nil
+	} else if err != nil {
+		c.drop(l.conn)
 	}
 	if err != nil {
-		//lint:ninflint locknet — discard only closes the socket (non-blocking) and updates the pool books
-		c.pool.discard(conn)
-		return nil, err
+		return 0, nil, nil, err
 	}
-	// The hello reply carries the server's incarnation epoch (0 from
-	// journal-less or pre-epoch servers); noting it here is how the
-	// client detects a restart at the first exchange after a re-dial,
-	// before any digest reference or data handle can hit the reborn
-	// (empty) cache.
-	c.noteEpoch(hello.Epoch)
-	//lint:ninflint locknet — New only starts the session goroutines; it performs no blocking socket I/O itself
-	s := mux.New(conn, c.maxPayload, int(hello.Version))
-	c.sess.sess, c.sess.conn, c.sess.flags = s, conn, hello.Flags
-	return s, nil
+	rt, fb, err = remoteErr(rt, fb)
+	return rt, fb, nil, err
 }
 
-// cacheOn reports whether sess negotiated feature level 4 against a
+// settleMux normalizes one session exchange's outcome: a fault that
+// broke the session retires the connection for re-dial, and MsgError
+// replies become *protocol.RemoteError as on the lockstep path.
+func (c *Client) settleMux(l link, rt protocol.MsgType, fb *protocol.Buffer, bulk *protocol.BulkInfo, err error) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
+	if err != nil {
+		if l.sess.Broken() {
+			c.drop(l.conn)
+		}
+		fb.Release() // nil on the error path by convention; Release is nil-safe
+		return 0, nil, nil, err
+	}
+	rt, fb, err = remoteErr(rt, fb)
+	if err != nil {
+		bulk = nil
+	}
+	return rt, fb, bulk, err
+}
+
+// remoteErr translates a MsgError reply into *protocol.RemoteError,
+// consuming its buffer; other replies pass through.
+func remoteErr(rt protocol.MsgType, fb *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, error) {
+	if rt != protocol.MsgError {
+		return rt, fb, nil
+	}
+	er, err := protocol.DecodeErrorReply(fb.Payload())
+	fb.Release()
+	if err != nil {
+		return 0, nil, err
+	}
+	return 0, nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
+}
+
+// expect runs one exchange and checks the reply type, returning the
+// reply buffer for the caller to decode and Release.
+func (c *Client) expect(ctx context.Context, t protocol.MsgType, req *protocol.Buffer, want protocol.MsgType, verb string) (*protocol.Buffer, error) {
+	rt, fb, _, err := c.exchange(ctx, t, req)
+	if err != nil {
+		return nil, err
+	}
+	if rt != want {
+		fb.Release()
+		return nil, fmt.Errorf("ninf: unexpected reply %v to %s", rt, verb)
+	}
+	return fb, nil
+}
+
+// cacheOn reports whether l is a feature level 4 session against a
 // server advertising a live argument cache, with digest references
 // enabled on this client. Only then may digest or retain framing
 // appear on the wire; anywhere below, the byte stream is bit-identical
 // to level 3.
-func (c *Client) cacheOn(sess *mux.Session) bool {
-	if c.noArgCache.Load() || !sess.Cache() {
-		return false
-	}
-	c.sess.mu.Lock()
-	defer c.sess.mu.Unlock()
-	return c.sess.sess == sess && c.sess.flags&protocol.HelloFlagArgCache != 0
+func (c *Client) cacheOn(l link) bool {
+	return l.sess != nil && !c.noArgCache.Load() && l.sess.Cache() && l.flags&protocol.HelloFlagArgCache != 0
 }
 
-// dropSession retires s if it is still the client's current session
-// and has failed; the next session() call dials afresh.
-func (c *Client) dropSession(s *mux.Session) {
-	if !s.Broken() {
-		return
-	}
-	c.sess.mu.Lock()
-	var conn net.Conn
-	if c.sess.sess == s {
-		conn = c.sess.conn
-		c.sess.sess, c.sess.conn = nil, nil
-	}
-	c.sess.mu.Unlock()
-	retireSession(c, s, conn)
-}
-
-// muxExchange runs one sequenced exchange over the session layer.
-// used=false means no session is available (legacy peer, mux off, or
-// callbacks registered): req is untouched and still owned by the
-// caller, which must fall back to the lockstep path. used=true means
-// the exchange was attempted and req consumed; MsgError replies are
-// translated to *protocol.RemoteError like every lockstep round trip,
-// and transport faults (which fail the session) surface as retryable
-// errors so the enclosing withRetry dials a fresh session. A non-nil
-// BulkInfo means the peer streamed the reply chunked.
-func (c *Client) muxExchange(ctx context.Context, t protocol.MsgType, req *protocol.Buffer) (rt protocol.MsgType, fb *protocol.Buffer, bulk *protocol.BulkInfo, used bool, err error) {
-	sess, err := c.session(ctx)
+// send encodes one call or submit request for the client's connection
+// and runs the exchange. On a session that negotiated bulk streaming,
+// an argument crossing the client's threshold goes out chunked, its
+// bulk arrays written zero-copy from the caller's slices; a level-4
+// session may send digest references instead. Everything else is one
+// monolithic frame. Encoding happens here — once the connection's
+// capabilities are known — so nothing is marshalled twice. rep's
+// Submit and BytesOut are stamped here too.
+func (c *Client) send(ctx context.Context, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
+	l, err := c.link(ctx, true)
 	if err != nil {
-		req.Release()
-		return 0, nil, nil, true, err
-	}
-	if sess == nil {
-		//lint:ninflint releasecheck — used=false hands req ownership back to the caller for the lockstep path
-		return 0, nil, nil, false, nil
-	}
-	rt, fb, bulk, err = c.muxExchangeOn(ctx, sess, t, req)
-	return rt, fb, bulk, true, err
-}
-
-// muxExchangeLive is muxExchange restricted to an already-established
-// session: it never dials. Interface fetches use it so a cold client
-// does not pay (or block on) a session handshake for a stage-one RPC
-// the primary lockstep connection serves equally well.
-func (c *Client) muxExchangeLive(ctx context.Context, t protocol.MsgType, req *protocol.Buffer) (rt protocol.MsgType, fb *protocol.Buffer, used bool, err error) {
-	sess := c.liveSession()
-	if sess == nil {
-		//lint:ninflint releasecheck — used=false hands req ownership back to the caller for the lockstep path
-		return 0, nil, false, nil
-	}
-	rt, fb, _, err = c.muxExchangeOn(ctx, sess, t, req)
-	return rt, fb, true, err
-}
-
-// muxExchangeOn runs one sequenced exchange on sess, consuming req.
-func (c *Client) muxExchangeOn(ctx context.Context, sess *mux.Session, t protocol.MsgType, req *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	rt, fb, bulk, err := sess.Roundtrip(ctx, t, req)
-	return c.settleMux(sess, rt, fb, bulk, err)
-}
-
-// settleMux normalizes one session exchange's outcome: transport
-// faults drop the session for re-dial, and MsgError replies become
-// *protocol.RemoteError exactly as on the lockstep paths.
-func (c *Client) settleMux(sess *mux.Session, rt protocol.MsgType, fb *protocol.Buffer, bulk *protocol.BulkInfo, err error) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	if err != nil {
-		c.dropSession(sess)
-		fb.Release() // nil on the error path by convention; Release is nil-safe
 		return 0, nil, nil, err
 	}
-	if rt == protocol.MsgError {
-		er, derr := protocol.DecodeErrorReply(fb.Payload())
-		fb.Release()
-		if derr != nil {
-			return 0, nil, nil, derr
-		}
-		return 0, nil, nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
-	}
-	return rt, fb, bulk, nil
-}
-
-// muxSend encodes one call or submit request for sess and runs the
-// exchange. When the session negotiated bulk streaming and an argument
-// crosses the client's threshold the request goes out chunked, its
-// bulk arrays written zero-copy from the caller's slices; otherwise it
-// is a monolithic frame. Encoding happens here — after the session's
-// capabilities are known — so nothing is marshalled twice and the
-// lockstep fallback (used=false upstream) never pre-encodes in vain.
-func (c *Client) muxSend(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	cacheok := c.cacheOn(sess)
-	if cacheok {
+	rep.Submit = time.Now() // the connection is ready: the call is issued
+	cacheOK := c.cacheOn(l)
+	if cacheOK {
 		creq.Retain = c.retainRes.Load()
 		//lint:ninflint releasecheck — handled=true transfers fb to the caller; handled=false returns a nil fb
-		rt, fb, bulk, handled, err := c.muxSendDigest(ctx, sess, t, info, creq, key, rep)
+		rt, fb, bulk, handled, err := c.sendDigest(ctx, l, t, info, creq, key, rep)
 		if handled {
 			return rt, fb, bulk, err
 		}
@@ -283,46 +332,48 @@ func (c *Client) muxSend(ctx context.Context, sess *mux.Session, t protocol.MsgT
 		// through to the plain encoders. creq.Retain stays set — the
 		// monolithic encoder still carries the retention trailer.
 	}
-	if sess.Bulk() {
+	if l.sess != nil && l.sess.Bulk() {
 		bm, err := encodeRequestChunks(t, info, creq, key, c.bulkThreshold())
 		if err != nil {
 			return 0, nil, nil, err
 		}
 		if bm != nil {
 			rep.BytesOut = int64(bm.Total())
-			rt, fb, bulk, err := sess.RoundtripBulk(ctx, bm)
-			return c.settleMux(sess, rt, fb, bulk, err)
+			rt, fb, bulk, err := l.sess.RoundtripBulk(ctx, bm)
+			return c.settleMux(l, rt, fb, bulk, err)
 		}
 	}
 	req, err := encodeRequestBuf(t, info, creq, key)
 	if err != nil {
+		c.release(l)
 		return 0, nil, nil, err
 	}
 	rep.BytesOut = int64(req.Len())
-	return c.muxExchangeOn(ctx, sess, t, req)
+	return c.exchangeOn(ctx, l, t, req)
 }
 
-// muxSendDigest runs one level-4 call or submit: hash the
-// bulk-eligible arguments, learn which digests the server's cache
-// holds (from the client's warm set, else one small MsgCallDigest
-// round trip), then send warm arguments as 20-byte digest markers and
-// only the cold ones as chunked bulk segments. handled=false means
-// nothing was digest-eligible or the warmth query degraded; the caller
-// falls back to the plain level-3 encoders. On success every digest is
-// remembered as warm — the server pinned resolved entries for the call
-// and retained uploaded segments. A CodeCacheMiss reply (eviction
-// raced the warmth knowledge) clears the warm set; the error is
-// retryable, and the retry re-queries and re-uploads.
-func (c *Client) muxSendDigest(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, bool, error) {
+// sendDigest runs one level-4 call or submit: hash the bulk-eligible
+// arguments, learn which digests the server's cache holds (from the
+// client's warm set, else one small MsgCallDigest round trip), then
+// send warm arguments as 20-byte digest markers and only the cold ones
+// as chunked bulk segments. handled=false means nothing was
+// digest-eligible or the warmth query degraded; the caller falls back
+// to the plain level-3 encoders. On success every digest is remembered
+// as warm — the server pinned resolved entries for the call and
+// retained uploaded segments. A CodeCacheMiss reply (eviction raced
+// the warmth knowledge) clears the warm set; the error is retryable,
+// and the retry re-queries and re-uploads.
+func (c *Client) sendDigest(ctx context.Context, l link, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, bool, error) {
 	thr := c.bulkThreshold()
 	digs, err := protocol.CallRequestDigests(info, creq, thr)
 	if err != nil || len(digs) == 0 {
 		return 0, nil, nil, false, nil
 	}
+	sess := l.sess
 	warm := c.warmKnown(digs)
 	if warm == nil {
 		qt, qfb, _, qerr := sess.Roundtrip(ctx, protocol.MsgCallDigest, protocol.EncodeDigestQueryBuf(digs))
-		qt, qfb, _, qerr = c.settleMux(sess, qt, qfb, nil, qerr)
+		qt, qfb, _, qerr = c.settleMux(l, qt, qfb, nil, qerr)
 		if qerr != nil {
 			var re *protocol.RemoteError
 			if errors.As(qerr, &re) {
@@ -366,7 +417,7 @@ func (c *Client) muxSendDigest(ctx context.Context, sess *mux.Session, t protoco
 		rep.BytesOut = int64(buf.Len())
 		rt, fb, bulk, err = sess.Roundtrip(ctx, t, buf)
 	}
-	rt, fb, bulk, err = c.settleMux(sess, rt, fb, bulk, err)
+	rt, fb, bulk, err = c.settleMux(l, rt, fb, bulk, err)
 	if err != nil {
 		var re *protocol.RemoteError
 		if errors.As(err, &re) && re.Code == protocol.CodeCacheMiss {
@@ -397,80 +448,11 @@ func encodeRequestBuf(t protocol.MsgType, info *idl.Info, creq *protocol.CallReq
 	return protocol.EncodeCallRequestBuf(info, creq)
 }
 
-// muxCall runs one blocking-call exchange over the session and decodes
-// the reply into the caller's destinations. used=false means no
-// session is available; the caller encodes for and runs the lockstep
-// path itself.
-func (c *Client) muxCall(ctx context.Context, info *idl.Info, vals []idl.Value, args []any) (*Report, bool, error) {
-	sess, err := c.session(ctx)
-	if err != nil {
-		return nil, true, err
-	}
-	if sess == nil {
-		return nil, false, nil
-	}
-	creq := &protocol.CallRequest{Name: info.Name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
-	rep := &Report{Routine: info.Name, Submit: time.Now()}
-	rt, fb, bulk, err := c.muxSend(ctx, sess, protocol.MsgCall, info, creq, 0, rep)
-	if err != nil {
-		return nil, true, err
-	}
-	r, err := finishCall(rep, info, vals, args, rt, fb, bulk)
-	return r, true, err
-}
-
-// muxSubmit runs one submit exchange over the session; used=false
-// means no session is available and the caller runs the lockstep path.
-func (c *Client) muxSubmit(ctx context.Context, name string, info *idl.Info, args []any, vals []idl.Value, key uint64) (*Job, bool, error) {
-	sess, err := c.session(ctx)
-	if err != nil {
-		return nil, true, err
-	}
-	if sess == nil {
-		return nil, false, nil
-	}
-	creq := &protocol.CallRequest{Name: name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
-	rep := &Report{Routine: name, Submit: time.Now()}
-	t, p, _, err := c.muxSend(ctx, sess, protocol.MsgSubmit, info, creq, key, rep)
-	if err != nil {
-		return nil, true, err
-	}
-	defer p.Release()
-	if t != protocol.MsgSubmitOK {
-		return nil, true, fmt.Errorf("ninf: unexpected reply %v to submit", t)
-	}
-	sr, err := protocol.DecodeSubmitReply(p.Payload())
-	if err != nil {
-		return nil, true, err
-	}
-	return &Job{client: c, id: sr.JobID, info: info, args: args, vals: vals, report: rep, name: name, key: key}, true, nil
-}
-
-// muxFetch runs one fetch exchange over the session, mapping the
-// not-ready remote error like the lockstep path does. Large stored
-// results arrive as chunked bulk replies from a level-3 server.
-func (j *Job) muxFetch(ctx context.Context) (*Report, bool, error) {
-	c := j.client
-	fr := protocol.FetchRequest{JobID: j.id, Wait: false}
-	req := fr.EncodeBuf()
-	t, p, bulk, used, err := c.muxExchange(ctx, protocol.MsgFetch, req)
-	if !used {
-		req.Release()
-		//lint:ninflint releasecheck — used=false: no exchange ran and p is nil
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, true, classifyFetchErr(err)
-	}
-	rep, err := j.finishFetch(t, p, bulk)
-	return rep, true, err
-}
-
-// finishCall decodes one call reply (mux or lockstep) straight into
-// the caller's destinations, consuming the reply buffer; a reply that
-// fails to decode leaves them untouched. A non-nil bulk means the reply
-// was a reassembled chunked message: the XDR head is its prefix and
-// marked arrays decode from raw segments.
+// finishCall decodes one call reply straight into the caller's
+// destinations, consuming the reply buffer; a reply that fails to
+// decode leaves them untouched. A non-nil bulk means the reply was a
+// reassembled chunked message: the XDR head is its prefix and marked
+// arrays decode from raw segments.
 func finishCall(rep *Report, info *idl.Info, vals []idl.Value, args []any, t protocol.MsgType, reply *protocol.Buffer, bulk *protocol.BulkInfo) (*Report, error) {
 	defer reply.Release()
 	if t != protocol.MsgCallOK {
@@ -490,11 +472,4 @@ func finishCall(rep *Report, info *idl.Info, vals []idl.Value, args []any, t pro
 	rep.Dequeue = time.Unix(0, tm.Dequeue)
 	rep.Complete = time.Unix(0, tm.Complete)
 	return rep, nil
-}
-
-// hasCallbacks reports whether any client callback is registered.
-func (c *Client) hasCallbacks() bool {
-	c.cb.mu.RLock()
-	defer c.cb.mu.RUnlock()
-	return len(c.cb.fns) > 0
 }

@@ -3,7 +3,8 @@ package ninf_test
 // Version negotiation and session-routing behavior of the multiplexed
 // client, in both directions: a mux-capable client against a legacy
 // (lockstep-only) server must degrade transparently, and a client
-// pinned to lockstep must interoperate with a mux-capable server.
+// pinned to lockstep by its callbacks must interoperate with a
+// mux-capable server.
 
 import (
 	"sync"
@@ -96,32 +97,24 @@ func TestMuxClientAgainstLegacyServer(t *testing.T) {
 	}
 }
 
-// TestLockstepClientAgainstMuxServer: SetMultiplexing(false) pins the
-// client to version-1 exchanges; a mux-capable server serves it like
-// any legacy client.
+// TestLockstepClientAgainstMuxServer: a client holding callbacks
+// never offers Hello, so a mux-capable server serves its one
+// connection lockstep like any legacy client. Removing the last
+// callback retires that connection and the next dial upgrades.
 func TestLockstepClientAgainstMuxServer(t *testing.T) {
 	_, dial := startServer(t, server.Config{Hostname: "muxsrv"})
 	c := newClient(t, dial)
-	c.SetMultiplexing(false)
+	c.RegisterCallback("progress", func(data []byte) ([]byte, error) { return nil, nil })
 
 	callOnce(t, c)
 	if c.Multiplexed() {
-		t.Fatal("SetMultiplexing(false) client negotiated a session anyway")
+		t.Fatal("a callback-holding client negotiated a session")
 	}
 
-	// Re-enabling probes again and upgrades.
-	c.SetMultiplexing(true)
+	c.RegisterCallback("progress", nil)
 	callOnce(t, c)
 	if !c.Multiplexed() {
-		t.Fatal("SetMultiplexing(true) did not re-probe the server")
-	}
-
-	// Turning it off tears the live session down mid-flight of nothing;
-	// subsequent calls are lockstep again.
-	c.SetMultiplexing(false)
-	callOnce(t, c)
-	if c.Multiplexed() {
-		t.Fatal("SetMultiplexing(false) left a live session behind")
+		t.Fatal("removing the last callback did not re-negotiate the connection")
 	}
 }
 

@@ -1,7 +1,7 @@
 package ninf
 
 import (
-	"fmt"
+	"context"
 
 	"ninf/internal/protocol"
 	"ninf/internal/server"
@@ -16,12 +16,10 @@ type RoutineTrace = server.RoutineTrace
 // schedulers use it to predict computation time for routines whose IDL
 // declares no Complexity clause.
 func (c *Client) Trace() ([]RoutineTrace, error) {
-	t, p, err := c.roundTrip(protocol.MsgTrace, nil)
+	fb, err := c.expect(context.Background(), protocol.MsgTrace, protocol.AcquireBuffer(0), protocol.MsgTraceOK, "trace")
 	if err != nil {
 		return nil, err
 	}
-	if t != protocol.MsgTraceOK {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to trace", t)
-	}
-	return server.DecodeTraces(p)
+	defer fb.Release()
+	return server.DecodeTraces(fb.Payload())
 }
