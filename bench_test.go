@@ -209,7 +209,12 @@ func BenchmarkTransactionFanOut(b *testing.B) {
 	go s.Serve(l)
 	defer s.Close()
 	addr := l.Addr().String()
-	sched := ninf.SingleServer("s", func() (net.Conn, error) { return net.Dial("tcp", addr) })
+	c, err := ninf.NewClient(func() (net.Conn, error) { return net.Dial("tcp", addr) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	sched := ninf.SingleServer("s", c)
 
 	m := 10
 	total := int64(1) << m

@@ -366,6 +366,7 @@ func TestCacheTransactionAffinityChain(t *testing.T) {
 		Hostname: "srvB", BulkThreshold: 4096, CacheBudget: 4 << 20,
 	})
 	m := metaserver.New(metaserver.Config{})
+	t.Cleanup(func() { m.Close() })
 	if err := m.AddServer("srvA", "x", 100, dial1); err != nil {
 		t.Fatal(err)
 	}

@@ -415,6 +415,111 @@ func TestRestartEpochInvalidatesHandles(t *testing.T) {
 	}
 }
 
+// scaleRegistry defines one routine, f. Version 1 doubles v into w;
+// version 2 adds a scale argument s before v, so a client still holding
+// version 1's interface would encode a call version 2 cannot decode.
+func scaleRegistry(t *testing.T, version int) *server.Registry {
+	t.Helper()
+	reg := server.NewRegistry()
+	src := `
+Define f(mode_in int n, mode_in double v[n], mode_out double w[n])
+    Calls "go" f(n, v, w);
+`
+	h := func(_ context.Context, args []idl.Value) error {
+		v, w := args[1].([]float64), args[2].([]float64)
+		for i := range v {
+			w[i] = 2 * v[i]
+		}
+		return nil
+	}
+	if version == 2 {
+		src = `
+Define f(mode_in int n, mode_in double s, mode_in double v[n], mode_out double w[n])
+    Calls "go" f(n, s, v, w);
+`
+		h = func(_ context.Context, args []idl.Value) error {
+			sc, v, w := args[1].(float64), args[2].([]float64), args[3].([]float64)
+			for i := range v {
+				w[i] = sc * v[i]
+			}
+			return nil
+		}
+	}
+	if err := reg.RegisterIDL(src, map[string]server.Handler{"f": h}); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// TestEpochChangeRefetchesInterface: a journaled server restarts on the
+// same journal directory and address, and its registry now gives f a
+// different signature. A client that cached f's interface before the
+// restart must meet the new incarnation's epoch, drop the cached
+// interface, and call the new f correctly — a long-lived client (one a
+// scheduler shares across transactions) lives through restarts.
+func TestEpochChangeRefetchesInterface(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	s1 := server.New(server.Config{Hostname: "sig1"}, scaleRegistry(t, 1))
+	if _, err := s1.AttachJournal(dir, journal.Options{Fsync: journal.FsyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+	l1, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s1.Serve(l1)
+	t.Cleanup(func() { s1.Close() })
+	addr := l1.Addr().String()
+
+	c := newClient(t, func() (net.Conn, error) { return net.Dial("tcp", addr) })
+	c.SetRetryPolicy(ninf.RetryPolicy{MaxAttempts: 10, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond})
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64(i + 1)
+	}
+	w := make([]float64, n)
+	if _, err := c.Call("f", n, v, w); err != nil {
+		t.Fatal(err)
+	}
+	if w[n-1] != 2*v[n-1] || c.ServerEpoch() != 1 {
+		t.Fatalf("before restart: w = %v, epoch %d", w, c.ServerEpoch())
+	}
+
+	l1.Close()
+	s1.Close()
+	s2 := server.New(server.Config{Hostname: "sig2"}, scaleRegistry(t, 2))
+	if _, err := s2.AttachJournal(dir, journal.Options{Fsync: journal.FsyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := relisten(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s2.Serve(l2)
+	t.Cleanup(func() { s2.Close() })
+
+	clear(w)
+	if _, err := c.Call("f", n, 3.0, v, w); err != nil {
+		t.Fatalf("call of the redefined f after the restart: %v", err)
+	}
+	for i := range v {
+		if w[i] != 3*v[i] {
+			t.Fatalf("w[%d] = %g, want %g", i, w[i], 3*v[i])
+		}
+	}
+	if got := c.ServerEpoch(); got != 2 {
+		t.Errorf("epoch after restart = %d, want 2", got)
+	}
+	info, err := c.Interface("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Params) != 4 {
+		t.Errorf("cached interface of f has %d parameters, want the new 4", len(info.Params))
+	}
+}
+
 // TestRestartUnknownJobResubmit pins client re-attachment without a
 // journal: a fetch across a journal-less restart surfaces the terminal
 // ErrJobNotFound (never retried as a transport fault), and Resubmit

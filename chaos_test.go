@@ -78,6 +78,7 @@ func buildChaosWorld(t *testing.T, seed int64) *chaosWorld {
 			BreakerCooldown: 300 * time.Millisecond,
 		}),
 	}
+	t.Cleanup(func() { w.meta.Close() })
 	for i := 0; i < chaosServers; i++ {
 		name := fmt.Sprintf("srv%d", i)
 		reg, err := library.NewRegistry()
@@ -451,6 +452,7 @@ func TestChaosMuxPartitionFailover(t *testing.T) {
 		FailThreshold:   8, // correlated session-death bursts, as in buildChaosWorld
 		BreakerCooldown: 300 * time.Millisecond,
 	})
+	t.Cleanup(func() { meta.Close() })
 	var injectors []*faultnet.Injector
 	var servers []*server.Server
 	for i := 0; i < 2; i++ {

@@ -38,11 +38,12 @@ import (
 )
 
 // Client is a connection to one Ninf computational server. It holds
-// exactly one connection: against a multiplexed server every verb from
-// any number of goroutines pipelines over it, and against a lockstep
-// peer (or while callbacks are registered) it runs one exchange at a
-// time, the Ninf_call contract. Concurrency against a lockstep peer
-// comes from more Clients. See session.go.
+// exactly one connection, dialed by its first exchange: against a
+// multiplexed server every verb from any number of goroutines
+// pipelines over it, and against a lockstep peer (or while callbacks
+// are registered) it runs one exchange at a time, the Ninf_call
+// contract. Concurrency against a lockstep peer comes from more
+// Clients. See session.go.
 type Client struct {
 	dial func() (net.Conn, error)
 
@@ -57,7 +58,7 @@ type Client struct {
 	flags  uint32 // HelloReply capability flags of sess
 	probed bool   // conn's protocol is settled: sess, or lockstep if sess is nil
 	closed bool
-	cache  map[string]*idl.Info
+	cache  map[string]*idl.Info // interfaces of server incarnation srvEpoch
 
 	cb callbackRegistry
 
@@ -158,9 +159,13 @@ func (c *Client) forgetWarm() {
 
 // noteEpoch folds one observation of the server's incarnation epoch
 // into the client. Journal-less servers report 0 and are never tracked.
-// A newly observed epoch means the server restarted with an empty
-// cache: all warm-digest knowledge is dropped, and data handles
+// A newly observed epoch means the server restarted: its cache came
+// back empty and its registry may have changed, so all warm-digest
+// knowledge and every cached interface are dropped, and data handles
 // stamped with the old epoch start failing fast with ErrStaleHandle.
+// The epoch and the interface cache change together under mu, so an
+// interface read with its epoch (attemptInterface) is never a stale
+// entry paired with the new epoch.
 //
 // The fold is monotonic: observations race (an in-flight Stats reply
 // can decode after a reconnect hello already saw the restarted
@@ -172,17 +177,19 @@ func (c *Client) noteEpoch(e uint64) {
 	if e == 0 {
 		return
 	}
-	for {
-		old := c.srvEpoch.Load()
-		if e <= old {
-			return // duplicate or delayed older observation
-		}
-		if c.srvEpoch.CompareAndSwap(old, e) {
-			if old != 0 {
-				c.forgetWarm()
-			}
-			return
-		}
+	c.mu.Lock()
+	old := c.srvEpoch.Load()
+	if e <= old {
+		c.mu.Unlock()
+		return // duplicate or delayed older observation
+	}
+	c.srvEpoch.Store(e)
+	if old != 0 {
+		clear(c.cache)
+	}
+	c.mu.Unlock()
+	if old != 0 {
+		c.forgetWarm()
 	}
 }
 
@@ -276,39 +283,36 @@ func (c *Client) FetchData(ctx context.Context, h DataHandle, dst any) error {
 
 var errClientClosed = errors.New("ninf: client closed")
 
-// Dial connects to a Ninf server over the named network.
+// Dial returns a client for the Ninf server at addr on the named
+// network. It does not connect: the first exchange dials, so an
+// unreachable server surfaces as that exchange's (retried) error.
 func Dial(network, addr string) (*Client, error) {
 	dialer := func() (net.Conn, error) { return net.Dial(network, addr) }
 	return NewClient(dialer)
 }
 
-// DialContext is Dial with the initial connection (and every later
-// re-dial) bounded by ctx's deadline. Cancelling ctx after DialContext
-// returns also aborts subsequent dials made on the client's behalf; it
-// does not interrupt exchanges already in flight.
+// DialContext is Dial with every connection the client makes bounded
+// by ctx's deadline. Cancelling ctx also aborts later dials made on the
+// client's behalf; it does not interrupt exchanges already in flight.
 func DialContext(ctx context.Context, network, addr string) (*Client, error) {
 	var d net.Dialer
 	dialer := func() (net.Conn, error) { return d.DialContext(ctx, network, addr) }
 	return NewClient(dialer)
 }
 
-// NewClient builds a client around a dialer, which it calls once now
-// and again only to replace a connection that a transport fault or a
-// callback registration retired.
+// NewClient builds a client around a dialer. It does not dial: the
+// client's first exchange does, and later ones only to replace a
+// connection that a transport fault or a callback registration
+// retired. The only error is a nil dialer.
 // Tests and the network emulator pass dialers returning in-memory or
 // traffic-shaped connections.
 func NewClient(dial func() (net.Conn, error)) (*Client, error) {
 	if dial == nil {
 		return nil, errors.New("ninf: nil dialer")
 	}
-	conn, err := dial()
-	if err != nil {
-		return nil, err
-	}
 	c := &Client{
 		dial:  dial,
 		xlock: make(chan struct{}, 1),
-		conn:  conn,
 		cache: make(map[string]*idl.Info),
 		retry: DefaultRetryPolicy,
 	}
@@ -322,9 +326,6 @@ func NewClient(dial func() (net.Conn, error)) (*Client, error) {
 func (c *Client) SetRetryPolicy(p RetryPolicy) {
 	c.retryMu.Lock()
 	c.retry = p.withDefaults()
-	if p.MaxAttempts == 1 { // NoRetry keeps its literal meaning
-		c.retry.MaxAttempts = 1
-	}
 	c.retryMu.Unlock()
 }
 
@@ -440,10 +441,15 @@ func (c *Client) Interface(name string) (*idl.Info, error) {
 // retry policy like every other verb, and cancelling ctx severs a
 // fetch blocked on a dead or black-holed connection.
 func (c *Client) InterfaceContext(ctx context.Context, name string) (*idl.Info, error) {
+	return c.iface(ctx, name, c.Retry())
+}
+
+// iface is InterfaceContext under an explicit retry policy.
+func (c *Client) iface(ctx context.Context, name string, pol RetryPolicy) (*idl.Info, error) {
 	var info *idl.Info
-	err := c.withRetry(ctx, "interface "+name, func() error {
+	err := c.withRetry(ctx, "interface "+name, pol, func() error {
 		var aerr error
-		info, aerr = c.attemptInterface(ctx, name)
+		info, _, aerr = c.attemptInterface(ctx, name)
 		return aerr
 	})
 	if err != nil {
@@ -452,27 +458,34 @@ func (c *Client) InterfaceContext(ctx context.Context, name string) (*idl.Info, 
 	return info, nil
 }
 
-func (c *Client) attemptInterface(ctx context.Context, name string) (*idl.Info, error) {
+// attemptInterface returns name's interface, from the cache or one
+// fetch, with the server epoch it belongs to. A fetch that races an
+// epoch change is returned under the epoch it started from, uncached,
+// so the caller's epoch check (see send) resolves it anew.
+func (c *Client) attemptInterface(ctx context.Context, name string) (*idl.Info, uint64, error) {
 	c.mu.Lock()
 	info, ok := c.cache[name]
+	epoch := c.srvEpoch.Load()
 	c.mu.Unlock()
 	if ok {
-		return info, nil
+		return info, epoch, nil
 	}
 	req := protocol.InterfaceRequest{Name: name}
 	fb, err := c.expect(ctx, protocol.MsgInterface, protocol.BufferFor(req.Encode()), protocol.MsgInterfaceOK, "interface query")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer fb.Release()
 	info, err = protocol.DecodeInterfaceReply(fb.Payload())
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	c.mu.Lock()
-	c.cache[name] = info
+	if c.srvEpoch.Load() == epoch {
+		c.cache[name] = info
+	}
 	c.mu.Unlock()
-	return info, nil
+	return info, epoch, nil
 }
 
 // A Report describes one completed Ninf_call with the timestamps the
@@ -531,22 +544,28 @@ func (c *Client) Call(name string, args ...any) (*Report, error) {
 // re-dials if needed, so a retry never reuses a poisoned connection or
 // a released buffer.
 func (c *Client) CallContext(ctx context.Context, name string, args ...any) (*Report, error) {
+	return c.call(ctx, name, args, c.Retry(), c.retainRes.Load())
+}
+
+// call is CallContext under an explicit retry policy and result
+// retention: per-call inputs, so callers sharing one Client (the
+// transactions a scheduler places on it) each keep their own.
+func (c *Client) call(ctx context.Context, name string, args []any, pol RetryPolicy, retain bool) (*Report, error) {
 	var rep *Report
-	err := c.withRetry(ctx, "call "+name, func() error {
+	err := c.withRetry(ctx, "call "+name, pol, func() error {
 		var aerr error
-		rep, aerr = c.attemptCall(ctx, name, args)
+		rep, aerr = c.attemptCall(ctx, name, args, retain)
 		return aerr
 	})
 	return rep, err
 }
 
-// withRetry runs attempt under the client's retry policy: retryable
+// withRetry runs attempt under the retry policy pol: retryable
 // transport faults and overload rejections are retried with capped,
 // fully-jittered exponential backoff — or with the server's own
 // retry-after hint when it sent one — until the policy's attempt
 // budget, the client's cross-call retry budget, or ctx runs out.
-func (c *Client) withRetry(ctx context.Context, op string, attempt func() error) error {
-	pol := c.Retry()
+func (c *Client) withRetry(ctx context.Context, op string, pol RetryPolicy, attempt func() error) error {
 	var lastErr error
 	for try := 1; ; try++ {
 		if err := ctx.Err(); err != nil {
@@ -601,18 +620,44 @@ func (c *Client) withRetry(ctx context.Context, op string, attempt func() error)
 // for its caller, but does not serialize against other goroutines'
 // calls); against a lockstep peer it holds the connection for the
 // exchange, which serializes calls per the Ninf_call contract.
-func (c *Client) attemptCall(ctx context.Context, name string, args []any) (*Report, error) {
-	info, vals, err := c.prepVals(ctx, name, args)
+func (c *Client) attemptCall(ctx context.Context, name string, args []any, retain bool) (*Report, error) {
+	r, err := c.request(ctx, protocol.MsgCall, name, args, 0, retain)
 	if err != nil {
 		return nil, err
 	}
-	creq := &protocol.CallRequest{Name: info.Name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
-	rep := &Report{Routine: info.Name}
-	rt, fb, bulk, err := c.send(ctx, protocol.MsgCall, info, creq, 0, rep)
-	if err != nil {
-		return nil, err
+	return finishCall(r.rep, r.info, r.vals, args, r.t, r.fb, r.bulk)
+}
+
+// A callReply is the answer to one call or submit request, with the
+// interface and argument values the request was encoded from.
+type callReply struct {
+	info *idl.Info
+	vals []idl.Value
+	rep  *Report
+	t    protocol.MsgType
+	fb   *protocol.Buffer
+	bulk *protocol.BulkInfo
+}
+
+// request resolves name's interface and runs one call or submit
+// exchange. When the connection's negotiation reveals a server restart
+// after the interface was resolved, the restart dropped the cached
+// interface, and the request is resolved and sent once more against
+// the new incarnation, whose registry may define the routine anew.
+func (c *Client) request(ctx context.Context, t protocol.MsgType, name string, args []any, key uint64, retain bool) (callReply, error) {
+	for again := true; ; again = false {
+		info, vals, epoch, err := c.prepVals(ctx, name, args)
+		if err != nil {
+			return callReply{}, err
+		}
+		creq := &protocol.CallRequest{Name: info.Name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
+		r := callReply{info: info, vals: vals, rep: &Report{Routine: info.Name}}
+		r.t, r.fb, r.bulk, err = c.send(ctx, t, info, creq, key, r.rep, epoch, retain)
+		if again && errors.Is(err, errEpochMoved) {
+			continue
+		}
+		return r, err
 	}
-	return finishCall(rep, info, vals, args, rt, fb, bulk)
 }
 
 // AsyncCall is a pending Ninf_call_async.
@@ -658,22 +703,32 @@ func (c *Client) CallAsyncContext(ctx context.Context, name string, args ...any)
 }
 
 // prepVals resolves the interface and validates/converts the
-// arguments, before any connection is committed or anything is
-// marshalled — the wire encoding (monolithic or chunked) is chosen
-// later, once the peer's capabilities are known. The interface fetch
-// runs as part of the attempt (under ctx, one try): prepVals's callers
-// sit inside withRetry already, so a transport fault fetching the
-// interface is retried by the enclosing loop, not a nested one.
-func (c *Client) prepVals(ctx context.Context, name string, args []any) (*idl.Info, []idl.Value, error) {
-	info, err := c.attemptInterface(ctx, name)
+// arguments before anything is marshalled — the wire encoding
+// (monolithic or chunked) is chosen later, once the peer's
+// capabilities are known. It settles the connection first: negotiating
+// a fresh one reports the server's incarnation, so a restart drops the
+// interfaces cached from the old one before one is used here. A closed
+// client skips that, so an argument error still surfaces as itself;
+// send reports the close. The returned epoch is the incarnation the
+// interface belongs to. The interface fetch runs as part of the
+// attempt (under ctx, one try): prepVals's callers sit inside
+// withRetry already, so a transport fault fetching the interface is
+// retried by the enclosing loop, not a nested one.
+func (c *Client) prepVals(ctx context.Context, name string, args []any) (*idl.Info, []idl.Value, uint64, error) {
+	if l, err := c.link(ctx, true); err == nil {
+		c.release(l)
+	} else if !errors.Is(err, errClientClosed) {
+		return nil, nil, 0, err
+	}
+	info, epoch, err := c.attemptInterface(ctx, name)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	vals, err := toValues(info, args)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	return info, vals, nil
+	return info, vals, epoch, nil
 }
 
 // ctxDeadlineNanos propagates the caller's context deadline onto the
@@ -730,7 +785,7 @@ func (c *Client) Submit(name string, args ...any) (*Job, error) {
 func (c *Client) SubmitContext(ctx context.Context, name string, args ...any) (*Job, error) {
 	key := submitKey()
 	var job *Job
-	err := c.withRetry(ctx, "submit "+name, func() error {
+	err := c.withRetry(ctx, "submit "+name, c.Retry(), func() error {
 		var aerr error
 		job, aerr = c.attemptSubmit(ctx, name, args, key)
 		return aerr
@@ -749,25 +804,19 @@ func submitKey() uint64 {
 
 // attemptSubmit is one submit attempt.
 func (c *Client) attemptSubmit(ctx context.Context, name string, args []any, key uint64) (*Job, error) {
-	info, vals, err := c.prepVals(ctx, name, args)
+	r, err := c.request(ctx, protocol.MsgSubmit, name, args, key, c.retainRes.Load())
 	if err != nil {
 		return nil, err
 	}
-	creq := &protocol.CallRequest{Name: name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
-	rep := &Report{Routine: name}
-	t, p, _, err := c.send(ctx, protocol.MsgSubmit, info, creq, key, rep)
+	defer r.fb.Release()
+	if r.t != protocol.MsgSubmitOK {
+		return nil, fmt.Errorf("ninf: unexpected reply %v to submit", r.t)
+	}
+	sr, err := protocol.DecodeSubmitReply(r.fb.Payload())
 	if err != nil {
 		return nil, err
 	}
-	defer p.Release()
-	if t != protocol.MsgSubmitOK {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to submit", t)
-	}
-	sr, err := protocol.DecodeSubmitReply(p.Payload())
-	if err != nil {
-		return nil, err
-	}
-	return &Job{client: c, id: sr.JobID, info: info, args: args, vals: vals, report: rep, name: name, key: key}, nil
+	return &Job{client: c, id: sr.JobID, info: r.info, args: args, vals: r.vals, report: r.rep, name: name, key: key}, nil
 }
 
 // ErrNotReady is returned by Fetch(false) while the job is running.
@@ -794,7 +843,7 @@ var ErrJobDone = errors.New("ninf: job result already fetched")
 // successful Resubmit the job can be fetched again as usual.
 func (j *Job) Resubmit(ctx context.Context) error {
 	var nj *Job
-	err := j.client.withRetry(ctx, "resubmit "+j.name, func() error {
+	err := j.client.withRetry(ctx, "resubmit "+j.name, j.client.Retry(), func() error {
 		var aerr error
 		nj, aerr = j.client.attemptSubmit(ctx, j.name, j.args, j.key)
 		return aerr
@@ -887,7 +936,7 @@ func (j *Job) FetchContext(ctx context.Context, wait bool) (*Report, error) {
 func (j *Job) fetchOnce(ctx context.Context) (*Report, time.Duration, error) {
 	var rep *Report
 	var hint time.Duration
-	err := j.client.withRetry(ctx, fmt.Sprintf("fetch job %d", j.id), func() error {
+	err := j.client.withRetry(ctx, fmt.Sprintf("fetch job %d", j.id), j.client.Retry(), func() error {
 		var aerr error
 		rep, aerr = j.attemptFetch(ctx)
 		if h, ok := overloadHint(aerr); ok && h > hint {

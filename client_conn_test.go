@@ -144,9 +144,28 @@ func asyncPing(t *testing.T, c *ninf.Client) {
 	}
 }
 
+// TestNewClientDialsOnFirstExchange: NewClient makes no connection;
+// the first exchange dials the client's one connection, so a scheduler
+// can hold a Client for every server it knows without touching them.
+func TestNewClientDialsOnFirstExchange(t *testing.T) {
+	forEachKind(t, func(t *testing.T, cfg server.Config) {
+		_, dials, _, dial, _ := startConnServer(t, cfg)
+		c := newClient(t, dial)
+		if got := dials.Load(); got != 0 {
+			t.Fatalf("dials after NewClient = %d, want 0", got)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		if got := dials.Load(); got != 1 {
+			t.Fatalf("dials after the first Ping = %d, want 1", got)
+		}
+	})
+}
+
 // TestOneConnPerClient: every verb — control plane, interface fetch,
 // blocking, concurrent async and two-phase calls — rides the one
-// connection NewClient dialed, against either server kind.
+// connection the first exchange dialed, against either server kind.
 func TestOneConnPerClient(t *testing.T) {
 	forEachKind(t, func(t *testing.T, cfg server.Config) {
 		_, dials, _, dial, _ := startConnServer(t, cfg)

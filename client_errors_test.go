@@ -1,6 +1,7 @@
 package ninf_test
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -100,12 +101,17 @@ func TestServerClosedMidSession(t *testing.T) {
 }
 
 func TestSingleServerSchedulerExcludesItself(t *testing.T) {
-	sched := ninf.SingleServer("only", func() (net.Conn, error) { return nil, nil })
+	c, err := ninf.NewClient(func() (net.Conn, error) { return nil, errors.New("never dialed") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sched := ninf.SingleServer("only", c)
 	if _, err := sched.Place(ninf.SchedRequest{Routine: "r", Exclude: []string{"only"}}); err == nil {
 		t.Error("excluded single server still placed")
 	}
 	pl, err := sched.Place(ninf.SchedRequest{Routine: "r"})
-	if err != nil || pl.Name != "only" {
+	if err != nil || pl.Name != "only" || pl.Client != c {
 		t.Errorf("place: %+v %v", pl, err)
 	}
 	sched.Observe("only", 1, 1, false) // must not panic

@@ -61,6 +61,11 @@ func TestAsyncDialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// NewClient does not dial: the first exchange makes the one
+	// connection that works.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	first.Close()
 	a := c.CallAsync("busy", 1)
 	if _, err := a.Wait(); err == nil {

@@ -31,6 +31,7 @@ func main() {
 
 	// Boot the cluster and register it with a metaserver.
 	meta := metaserver.New(metaserver.Config{Policy: metaserver.RoundRobin{}})
+	defer meta.Close()
 	for i := 0; i < *nServers; i++ {
 		reg, err := library.NewRegistry()
 		if err != nil {

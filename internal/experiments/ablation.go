@@ -173,6 +173,7 @@ func runPlacementAblation(w io.Writer, opts Options) error {
 			return err
 		}
 		m := metaserver.New(metaserver.Config{Policy: pol})
+		defer m.Close()
 		if err := m.AddServer("near", "", 100, fastShaped); err != nil {
 			return err
 		}
@@ -206,15 +207,10 @@ func runPlacementAblation(w io.Writer, opts Options) error {
 				return err
 			}
 			chosen[pl.Name]++
-			c, err := ninf.NewClient(pl.Dial)
-			if err != nil {
-				return err
-			}
 			in := make([]float64, payload)
 			start := time.Now()
-			rep, err := c.Call("echo", payload, in, nil)
+			rep, err := pl.Client.Call("echo", payload, in, nil)
 			d := time.Since(start)
-			c.Close()
 			if err != nil {
 				return err
 			}

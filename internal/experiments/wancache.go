@@ -288,7 +288,12 @@ func runWANChainNoHandle(dial func() (net.Conn, error), n, steps int) (wanCacheR
 
 func runWANChainHandle(dial func() (net.Conn, error), n, steps int) (wanCacheRow, error) {
 	a, p0 := chainSeed(n, 1)
-	tx := ninf.BeginTransaction(ninf.SingleServer("wan", dial))
+	c, err := ninf.NewClient(dial)
+	if err != nil {
+		return wanCacheRow{}, err
+	}
+	defer c.Close()
+	tx := ninf.BeginTransaction(ninf.SingleServer("wan", c))
 	bufs := make([][]float64, steps+1)
 	bufs[0] = p0
 	for k := 1; k <= steps; k++ {

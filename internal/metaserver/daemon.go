@@ -188,6 +188,11 @@ type cacheEntry struct {
 // recently handed out, rotated round-robin and honoring the request's
 // exclusions, with Placement.Degraded set so callers can see they ran
 // on possibly-stale routing.
+//
+// The scheduler keeps one Client per server address and names it in
+// every placement there, live or degraded, so transactions share each
+// server's connection, interface cache and warm digests. Close closes
+// them.
 type RemoteScheduler struct {
 	// DialMeta opens a connection to the (single) metaserver. It is
 	// the pre-HA configuration surface, used only when no addresses
@@ -209,8 +214,9 @@ type RemoteScheduler struct {
 	cur      int // index of the currently preferred replica
 	seq      uint64
 	cache    map[string]cacheEntry
-	rrDeg    int // round-robin cursor for degraded placements
-	degraded int // degraded placements handed out
+	clients  map[string]*ninf.Client // by server address
+	rrDeg    int                     // round-robin cursor for degraded placements
+	degraded int                     // degraded placements handed out
 	init     bool
 }
 
@@ -260,6 +266,7 @@ func (r *RemoteScheduler) ensureLocked() {
 		r.Origin = fmt.Sprintf("client-%x-%d", time.Now().UnixNano(), atomic.AddUint64(&clientOriginCounter, 1))
 	}
 	r.cache = make(map[string]cacheEntry)
+	r.clients = make(map[string]*ninf.Client)
 }
 
 // metaBackoff sizes the avoidance window after the fails-th
@@ -429,14 +436,23 @@ func (r *RemoteScheduler) dropLocked(mr *metaReplica) {
 	}
 }
 
-// serverDial builds the dialer a placement hands the transaction
-// layer.
-func (r *RemoteScheduler) serverDial(addr string) func() (net.Conn, error) {
-	dial := r.DialServer
-	if dial == nil {
-		dial = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
+// placementLocked names the server's Client in a placement, creating
+// the Client on the server address's first placement. Callers hold
+// r.mu.
+func (r *RemoteScheduler) placementLocked(name, addr string, degraded bool) (ninf.Placement, error) {
+	c, ok := r.clients[addr]
+	if !ok {
+		dial := r.DialServer
+		if dial == nil {
+			dial = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
+		}
+		var err error
+		if c, err = ninf.NewClient(func() (net.Conn, error) { return dial(addr) }); err != nil {
+			return ninf.Placement{}, err
+		}
+		r.clients[addr] = c
 	}
-	return func() (net.Conn, error) { return dial(addr) }
+	return ninf.Placement{Name: name, Client: c, Degraded: degraded}, nil
 }
 
 // Place implements ninf.Scheduler. A transport-level failure of every
@@ -468,10 +484,10 @@ func (r *RemoteScheduler) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 		return ninf.Placement{}, err
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.ensureLocked()
 	r.cache[reply.Name] = cacheEntry{addr: reply.Addr, at: time.Now()}
-	r.mu.Unlock()
-	return ninf.Placement{Name: reply.Name, Dial: r.serverDial(reply.Addr)}, nil
+	return r.placementLocked(reply.Name, reply.Addr, false)
 }
 
 // placeDegraded serves a placement from the cache of servers the
@@ -507,7 +523,7 @@ func (r *RemoteScheduler) placeDegraded(req ninf.SchedRequest, cause error) (nin
 	r.rrDeg++
 	name := names[r.rrDeg%len(names)]
 	r.degraded++
-	return ninf.Placement{Name: name, Dial: r.serverDial(r.cache[name].addr), Degraded: true}, nil
+	return r.placementLocked(name, r.cache[name].addr, true)
 }
 
 // Observe implements ninf.Scheduler.
@@ -597,10 +613,15 @@ func (r *RemoteScheduler) Status() SchedulerStatus {
 	return st
 }
 
-// Close releases all metaserver connections.
+// Close releases all metaserver connections and closes the server
+// Clients placements named, failing calls still running through them.
 func (r *RemoteScheduler) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for addr, c := range r.clients {
+		c.Close()
+		delete(r.clients, addr)
+	}
 	var first error
 	for _, mr := range r.metas {
 		if mr.conn != nil {

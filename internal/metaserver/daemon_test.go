@@ -327,12 +327,10 @@ func TestRemoteSchedulerDegradedPlacement(t *testing.T) {
 	if !pl.Degraded || pl.Name != "s0" {
 		t.Fatalf("degraded placement = %+v", pl)
 	}
-	// The cached dialer must reach the real server.
-	conn, err := pl.Dial()
-	if err != nil {
-		t.Fatalf("degraded placement dial: %v", err)
+	// The cached server's Client must reach the real server.
+	if err := pl.Client.Ping(); err != nil {
+		t.Fatalf("degraded placement ping: %v", err)
 	}
-	conn.Close()
 	// Exclusions still apply in degraded mode — the transaction layer
 	// relies on them for its failover loop.
 	if _, err := rs.Place(ninf.SchedRequest{Routine: "x", Exclude: []string{"s0"}}); err == nil {
@@ -341,6 +339,58 @@ func TestRemoteSchedulerDegradedPlacement(t *testing.T) {
 	st := rs.Status()
 	if st.DegradedPlacements != 1 {
 		t.Errorf("DegradedPlacements = %d, want 1", st.DegradedPlacements)
+	}
+}
+
+// TestRemoteSchedulerDegradedSharesClient: the remote scheduler keeps
+// one Client per server address, so a degraded placement (every
+// metaserver down) names the very Client the last live placement of
+// that server did, and calling through it dials nothing new.
+func TestRemoteSchedulerDegradedSharesClient(t *testing.T) {
+	_, addr, sdial := startServer(t, server.Config{Hostname: "s0"})
+	m := New(Config{})
+	t.Cleanup(func() { m.Close() })
+	if err := m.AddServer("s0", addr, 100, sdial); err != nil {
+		t.Fatal(err)
+	}
+	d := startMetaDaemon(t, m)
+	var dials atomic.Int64
+	rs := NewRemoteScheduler(d.addr)
+	rs.DialServer = func(a string) (net.Conn, error) {
+		dials.Add(1)
+		return net.Dial("tcp", a)
+	}
+	t.Cleanup(func() { rs.Close() })
+
+	live, err := rs.Place(ninf.SchedRequest{Routine: "busy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Client.Call("busy", 1); err != nil {
+		t.Fatal(err)
+	}
+	again, err := rs.Place(ninf.SchedRequest{Routine: "busy"})
+	if err != nil || again.Client != live.Client {
+		t.Fatalf("second live placement: %+v %v, want the first's Client", again, err)
+	}
+	d.kill()
+
+	deg, err := rs.Place(ninf.SchedRequest{Routine: "busy"})
+	if err != nil {
+		t.Fatalf("no degraded placement with a warm cache: %v", err)
+	}
+	if !deg.Degraded || deg.Client != live.Client {
+		t.Fatalf("degraded placement = %+v, want the live placement's Client", deg)
+	}
+	if _, err := deg.Client.Call("busy", 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := dials.Load(); got != 1 {
+		t.Errorf("dials = %d, want 1: the degraded placement re-dialed", got)
+	}
+	rs.Close()
+	if err := live.Client.Ping(); !errors.Is(err, ninf.ErrClientClosed) {
+		t.Errorf("after Close: Ping = %v, want ErrClientClosed", err)
 	}
 }
 

@@ -243,6 +243,7 @@ func TestPlaceFailsOverToLiveServer(t *testing.T) {
 // breaker events.
 func TestTransactionFailsOverMidEnd(t *testing.T) {
 	m := New(Config{FailThreshold: 2, BreakerCooldown: time.Hour, Policy: RoundRobin{}})
+	t.Cleanup(func() { m.Close() })
 	inA := faultnet.New(faultnet.Plan{Seed: 7})
 	_, addrA, rawDialA := startServer(t, server.Config{Hostname: "doomed"})
 	_, addrB, dialB := startServer(t, server.Config{Hostname: "survivor"})

@@ -136,7 +136,12 @@ type Metaserver struct {
 
 type entry struct {
 	Snapshot
-	dial     func() (net.Conn, error)
+	dial func() (net.Conn, error)
+	// client is the one Client every placement on this server hands
+	// out, built from dial when the entry is created and closed when
+	// it is removed: transactions share its connection, interface
+	// cache and warm digests. Stats polls dial on their own.
+	client   *ninf.Client
 	brk      breaker
 	observed bool
 	// overloadUntil ends the placement-penalty window opened by an
@@ -146,6 +151,26 @@ type entry struct {
 	// compared against deregistration tombstones so membership
 	// conflicts resolve identically on every replica.
 	registeredAt int64
+}
+
+// newEntryLocked registers a server in the placement view — an
+// operator's AddServer or a registration learned through gossip — with
+// its Client, which dials only when a placement first uses it.
+// Callers hold m.mu.
+func (m *Metaserver) newEntryLocked(name, addr string, powerMflops float64, dial func() (net.Conn, error), registeredAt int64) error {
+	c, err := ninf.NewClient(dial)
+	if err != nil {
+		return err
+	}
+	e := &entry{dial: dial, client: c, registeredAt: registeredAt}
+	e.Name = name
+	e.Addr = addr
+	e.Alive = true
+	e.PowerMflops = powerMflops
+	e.Bandwidth = m.cfg.InitialBandwidth
+	m.servers[name] = e
+	m.order = append(m.order, name)
+	return nil
 }
 
 // refresh re-derives the snapshot's time-dependent fields.
@@ -213,14 +238,9 @@ func (m *Metaserver) AddServer(name, addr string, powerMflops float64, dial func
 	if t, ok := m.tombs[name]; ok && at <= t {
 		at = t + 1
 	}
-	e := &entry{dial: dial, registeredAt: at}
-	e.Name = name
-	e.Addr = addr
-	e.Alive = true
-	e.PowerMflops = powerMflops
-	e.Bandwidth = m.cfg.InitialBandwidth
-	m.servers[name] = e
-	m.order = append(m.order, name)
+	if err := m.newEntryLocked(name, addr, powerMflops, dial, at); err != nil {
+		return err
+	}
 	// Registrations always enter the gossip log (a handful of records)
 	// so peers added later still learn every server.
 	m.recordLocked(protocol.GossipRecord{
@@ -255,9 +275,13 @@ func (m *Metaserver) RemoveServer(name string) {
 	m.recordLocked(protocol.GossipRecord{Kind: protocol.GossipDeregister, Name: name, AtUnixNanos: at})
 }
 
-// removeLocked drops a server from the placement view. Callers hold
+// removeLocked drops a server from the placement view and closes its
+// Client, failing any call still running through it. Callers hold
 // m.mu.
 func (m *Metaserver) removeLocked(name string) {
+	if e, ok := m.servers[name]; ok {
+		e.client.Close()
+	}
 	delete(m.servers, name)
 	for i, n := range m.order {
 		if n == name {
@@ -265,6 +289,18 @@ func (m *Metaserver) removeLocked(name string) {
 			break
 		}
 	}
+}
+
+// Close closes the Client of every registered server, failing calls
+// still running through them. Placements made after Close name closed
+// Clients; Close is for shutting the metaserver down.
+func (m *Metaserver) Close() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.servers {
+		e.client.Close()
+	}
+	return nil
 }
 
 // Servers returns snapshots in registration order.
@@ -537,7 +573,7 @@ func (m *Metaserver) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 				chosen := entries[i]
 				chosen.brk.markProbe()
 				chosen.Stats.Queued++
-				return ninf.Placement{Name: chosen.Name, Dial: chosen.dial}, nil
+				return ninf.Placement{Name: chosen.Name, Client: chosen.client}, nil
 			}
 		}
 	}
@@ -559,7 +595,7 @@ func (m *Metaserver) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 	// Placements optimistically count toward load so a burst of
 	// placements spreads even before stats refresh.
 	chosen.Stats.Queued++
-	return ninf.Placement{Name: chosen.Name, Dial: chosen.dial}, nil
+	return ninf.Placement{Name: chosen.Name, Client: chosen.client}, nil
 }
 
 // Observe implements ninf.Scheduler: feedback from completed calls

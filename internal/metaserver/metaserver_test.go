@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,6 +238,7 @@ func TestTransactionFanOutOverMetaserver(t *testing.T) {
 	// spread and merge exactly — the §4.3 metaserver experiment in
 	// miniature.
 	m := New(Config{Policy: RoundRobin{}})
+	t.Cleanup(func() { m.Close() })
 	for _, name := range []string{"n1", "n2", "n3", "n4"} {
 		_, addr, dial := startServer(t, server.Config{})
 		if err := m.AddServer(name, addr, 100, dial); err != nil {
@@ -285,6 +287,7 @@ func TestTransactionFanOutOverMetaserver(t *testing.T) {
 
 func TestTransactionRetriesOnFault(t *testing.T) {
 	m := New(Config{Policy: RoundRobin{}, FailThreshold: 1})
+	t.Cleanup(func() { m.Close() })
 	sA, addrA, dialA := startServer(t, server.Config{})
 	_, addrB, dialB := startServer(t, server.Config{})
 	if err := m.AddServer("a", addrA, 100, dialA); err != nil {
@@ -311,6 +314,7 @@ func TestTransactionRetriesOnFault(t *testing.T) {
 
 func TestTransactionAllServersDead(t *testing.T) {
 	m := New(Config{FailThreshold: 1})
+	t.Cleanup(func() { m.Close() })
 	sA, addrA, dialA := startServer(t, server.Config{})
 	if err := m.AddServer("a", addrA, 100, dialA); err != nil {
 		t.Fatal(err)
@@ -320,6 +324,134 @@ func TestTransactionAllServersDead(t *testing.T) {
 	tx.Call("busy", 1)
 	if err := tx.End(); err == nil {
 		t.Error("transaction succeeded with no healthy server")
+	}
+}
+
+// countingDial wraps dial and counts the connections it makes.
+func countingDial(dial func() (net.Conn, error)) (func() (net.Conn, error), *atomic.Int64) {
+	n := new(atomic.Int64)
+	return func() (net.Conn, error) {
+		n.Add(1)
+		return dial()
+	}, n
+}
+
+// TestTransactionsReuseServerClients: transactions placed by one
+// metaserver share its Client per server, so ten 4-step chains dial
+// each server they touch once — not a connection or two per
+// transaction, each paying its own Hello, interface fetch and warmth
+// queries.
+func TestTransactionsReuseServerClients(t *testing.T) {
+	m := New(Config{Policy: RoundRobin{}})
+	t.Cleanup(func() { m.Close() })
+	dials := map[string]*atomic.Int64{}
+	for _, name := range []string{"a", "b"} {
+		_, addr, dial := startServer(t, server.Config{PEs: 2})
+		cd, n := countingDial(dial)
+		if err := m.AddServer(name, addr, 100, cd); err != nil {
+			t.Fatal(err)
+		}
+		dials[name] = n
+	}
+	if got := dials["a"].Load() + dials["b"].Load(); got != 0 {
+		t.Fatalf("registering two servers dialed %d times, want 0", got)
+	}
+
+	const n, steps, chains = 8, 4, 10
+	touched := map[string]bool{}
+	for k := 0; k < chains; k++ {
+		bufs := make([][]float64, steps+1)
+		for i := range bufs {
+			bufs[i] = make([]float64, n)
+		}
+		for i := range bufs[0] {
+			bufs[0][i] = float64(k*n + i)
+		}
+		tx := ninf.BeginTransaction(m)
+		for s := 0; s < steps; s++ {
+			tx.Call("echo", n, bufs[s], bufs[s+1])
+		}
+		if err := tx.End(); err != nil {
+			t.Fatalf("chain %d: %v", k, err)
+		}
+		for i, v := range bufs[steps] {
+			if v != bufs[0][i] {
+				t.Fatalf("chain %d: out[%d] = %g, want %g", k, i, v, bufs[0][i])
+			}
+		}
+		for _, tried := range tx.Servers() {
+			touched[tried[len(tried)-1]] = true
+		}
+	}
+	for name, d := range dials {
+		got := d.Load()
+		if got > 1 {
+			t.Errorf("server %s dialed %d times over %d transactions, want at most 1", name, got, chains)
+		}
+		if touched[name] && got != 1 {
+			t.Errorf("server %s ran calls but was dialed %d times, want 1", name, got)
+		}
+	}
+}
+
+// TestRemoveServerClosesClient: removing a server — by the operator or
+// through a gossiped deregistration — closes the Client placements on
+// it handed out, and no later placement names it; Close closes the
+// rest. The package's leak check then proves the closed sessions left
+// no goroutines behind.
+func TestRemoveServerClosesClient(t *testing.T) {
+	m := New(Config{})
+	t.Cleanup(func() { m.Close() })
+	clients := map[string]*ninf.Client{}
+	names := []string{"a", "b", "c"}
+	for _, name := range names {
+		_, addr, dial := startServer(t, server.Config{})
+		if err := m.AddServer(name, addr, 100, dial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range names {
+		var others []string
+		for _, o := range names {
+			if o != name {
+				others = append(others, o)
+			}
+		}
+		pl, err := m.Place(ninf.SchedRequest{Routine: "busy", Exclude: others})
+		if err != nil || pl.Name != name {
+			t.Fatalf("place on %s: %+v %v", name, pl, err)
+		}
+		// A call leaves a live multiplexed session behind, whose
+		// goroutines the close must end.
+		if _, err := pl.Client.Call("busy", 1); err != nil {
+			t.Fatal(err)
+		}
+		clients[name] = pl.Client
+	}
+
+	m.RemoveServer("a")
+	m.mu.Lock()
+	m.applyRecordLocked(protocol.GossipRecord{
+		Kind: protocol.GossipDeregister, Name: "b", AtUnixNanos: time.Now().Add(time.Hour).UnixNano(),
+	})
+	m.mu.Unlock()
+	for _, name := range []string{"a", "b"} {
+		if err := clients[name].Ping(); !errors.Is(err, ninf.ErrClientClosed) {
+			t.Errorf("removed server %s: Ping = %v, want ErrClientClosed", name, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		pl, err := m.Place(ninf.SchedRequest{Routine: "busy"})
+		if err != nil || pl.Name != "c" || pl.Client != clients["c"] {
+			t.Fatalf("placement %d after removals: %+v %v", i, pl, err)
+		}
+	}
+	if err := clients["c"].Ping(); err != nil {
+		t.Fatalf("remaining server's Client: %v", err)
+	}
+	m.Close()
+	if err := clients["c"].Ping(); !errors.Is(err, ninf.ErrClientClosed) {
+		t.Errorf("after Close: Ping = %v, want ErrClientClosed", err)
 	}
 }
 
@@ -347,12 +479,7 @@ func TestDaemonScheduleObserve(t *testing.T) {
 		t.Errorf("placed on %q", pl.Name)
 	}
 	// The placement is directly usable for a call.
-	c, err := ninf.NewClient(pl.Dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Call("busy", 1); err != nil {
+	if _, err := pl.Client.Call("busy", 1); err != nil {
 		t.Fatal(err)
 	}
 	rs.Observe("a", 1000, time.Millisecond, false)

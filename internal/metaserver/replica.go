@@ -318,14 +318,9 @@ func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord) {
 			}
 			return
 		}
-		e := &entry{dial: m.serverDialer(rec.Addr), registeredAt: rec.AtUnixNanos}
-		e.Name = rec.Name
-		e.Addr = rec.Addr
-		e.Alive = true
-		e.PowerMflops = rec.Power
-		e.Bandwidth = m.cfg.InitialBandwidth
-		m.servers[rec.Name] = e
-		m.order = append(m.order, rec.Name)
+		if err := m.newEntryLocked(rec.Name, rec.Addr, rec.Power, m.serverDialer(rec.Addr), rec.AtUnixNanos); err != nil {
+			return
+		}
 	case protocol.GossipDeregister:
 		// Unstamped records come from a pre-tombstone replica and leave
 		// no tombstone — legacy remove-only semantics.

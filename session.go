@@ -12,25 +12,36 @@ import (
 	"ninf/internal/protocol"
 )
 
-// The client transport. A Client holds exactly one connection. Its
-// first call-plane exchange (call, submit, fetch, data handle) is
-// preceded by a MsgHello offer unless callbacks are registered: a
-// MsgHelloOK wraps the connection in a multiplexed session
-// (internal/mux) that pipelines every verb from any number of
-// goroutines, while any other complete reply leaves it a lockstep
-// connection that runs one exchange at a time — the Ninf_call
-// contract of a version-1 peer. Interface fetches and control verbs
-// do not force the offer: they run lockstep on a connection not yet
-// upgraded, so the two-stage RPC's interface fetch costs no extra
-// round trip, as on a version-1 connection. Every verb goes through
-// exchangeOn, whichever the mode. A transport fault retires the
-// connection, and the next exchange dials afresh.
+// The client transport. A Client holds exactly one connection, which
+// its first exchange dials. Its first call-plane exchange (call,
+// submit, fetch, data handle) is preceded by a MsgHello offer unless
+// callbacks are registered: a MsgHelloOK wraps the connection in a
+// multiplexed session (internal/mux) that pipelines every verb from
+// any number of goroutines, while any other complete reply leaves it a
+// lockstep connection that runs one exchange at a time — the Ninf_call
+// contract of a version-1 peer. A call or submit settles the
+// connection (and so makes the offer) before it resolves its
+// interface: the Hello reply reports the server's incarnation, and a
+// restart voids the interfaces cached from the old one. Interface
+// fetches and control verbs on their own do not force the offer: they
+// run lockstep on a connection not yet upgraded, as on a version-1
+// connection. Either way the two-stage RPC costs no extra round trip.
+// Every verb goes through exchangeOn, whichever the mode. A transport
+// fault retires the connection, and the next exchange dials afresh.
 
 // errRetired fails an exchange whose connection was retired under it
 // (Close, or a callback registration changing the protocol it needs).
 // It wraps net.ErrClosed, so the retry loop classifies it as a
 // transport fault — or as ErrClientClosed when the client is closed.
 var errRetired = fmt.Errorf("ninf: connection retired: %w", net.ErrClosed)
+
+// errEpochMoved fails a request whose interface was resolved against a
+// server incarnation older than the one its connection now reaches: the
+// server restarted in between, and its registry may define the routine
+// differently. request resolves and sends once more; a second restart
+// in the same attempt leaves the fault to the retry loop, as a retired
+// connection's would.
+var errEpochMoved = fmt.Errorf("ninf: server restarted under the request: %w", errRetired)
 
 // A link is one exchange's hold on the client's connection: a live
 // multiplexed session, shared with concurrent exchanges, or the
@@ -310,19 +321,26 @@ func (c *Client) cacheOn(l link) bool {
 // and runs the exchange. On a session that negotiated bulk streaming,
 // an argument crossing the client's threshold goes out chunked, its
 // bulk arrays written zero-copy from the caller's slices; a level-4
-// session may send digest references instead. Everything else is one
+// session may send digest references instead, asking the server to
+// retain large results when retain is set. Everything else is one
 // monolithic frame. Encoding happens here — once the connection's
 // capabilities are known — so nothing is marshalled twice. rep's
-// Submit and BytesOut are stamped here too.
-func (c *Client) send(ctx context.Context, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
+// Submit and BytesOut are stamped here too. info must belong to server
+// incarnation epoch; if the connection now reaches a newer one, nothing
+// is sent and the error is errEpochMoved.
+func (c *Client) send(ctx context.Context, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report, epoch uint64, retain bool) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
 	l, err := c.link(ctx, true)
 	if err != nil {
 		return 0, nil, nil, err
 	}
+	if c.srvEpoch.Load() != epoch {
+		c.release(l)
+		return 0, nil, nil, errEpochMoved
+	}
 	rep.Submit = time.Now() // the connection is ready: the call is issued
 	cacheOK := c.cacheOn(l)
 	if cacheOK {
-		creq.Retain = c.retainRes.Load()
+		creq.Retain = retain
 		//lint:ninflint releasecheck — handled=true transfers fb to the caller; handled=false returns a nil fb
 		rt, fb, bulk, handled, err := c.sendDigest(ctx, l, t, info, creq, key, rep)
 		if handled {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"reflect"
 	"sync"
 	"time"
@@ -32,10 +31,16 @@ type SchedRequest struct {
 	Affinity string
 }
 
-// Placement names a chosen server and how to reach it.
+// Placement names a chosen server and the Client to call it through.
+// The Client belongs to the scheduler, which keeps one per server and
+// hands the same one to every placement there, so transactions share
+// its connection, interface cache and warm digests instead of dialing,
+// negotiating and fetching again. Callers must not Close it or change
+// its settings: per-call inputs such as a transaction's retry policy
+// travel with each call instead.
 type Placement struct {
-	Name string
-	Dial func() (net.Conn, error)
+	Name   string
+	Client *Client
 	// Degraded marks a placement made from a client-local cache while
 	// no scheduler authority (e.g. any metaserver replica) was
 	// reachable: the routing may be stale, but the call can still run.
@@ -53,15 +58,16 @@ type Scheduler interface {
 }
 
 // SingleServer returns a Scheduler that places every call on one
-// server: the degenerate case of a metaserver, useful for tests and
-// for running transaction code against a lone server.
-func SingleServer(name string, dial func() (net.Conn, error)) Scheduler {
-	return &singleServer{name: name, dial: dial}
+// server, through c: the degenerate case of a metaserver, useful for
+// tests and for running transaction code against a lone server. The
+// caller owns c and closes it when done with the scheduler.
+func SingleServer(name string, c *Client) Scheduler {
+	return &singleServer{name: name, client: c}
 }
 
 type singleServer struct {
-	name string
-	dial func() (net.Conn, error)
+	name   string
+	client *Client
 }
 
 func (s *singleServer) Place(req SchedRequest) (Placement, error) {
@@ -70,7 +76,7 @@ func (s *singleServer) Place(req SchedRequest) (Placement, error) {
 			return Placement{}, fmt.Errorf("ninf: only server %q is excluded", s.name)
 		}
 	}
-	return Placement{Name: s.name, Dial: s.dial}, nil
+	return Placement{Name: s.name, Client: s.client}, nil
 }
 
 func (s *singleServer) Observe(string, int64, time.Duration, bool) {}
@@ -108,7 +114,6 @@ type Transaction struct {
 
 	mu        sync.Mutex
 	calls     []*txCall
-	clients   map[string]*Client
 	ended     bool
 	failovers int
 	degraded  int
@@ -136,7 +141,7 @@ type txCall struct {
 
 // BeginTransaction opens a transaction over the given scheduler.
 func BeginTransaction(s Scheduler) *Transaction {
-	return &Transaction{sched: s, maxAttempts: 3, clients: make(map[string]*Client)}
+	return &Transaction{sched: s, maxAttempts: 3}
 }
 
 // SetMaxAttempts adjusts how many servers a failing call is tried on
@@ -158,18 +163,30 @@ func (tx *Transaction) SetCallTimeout(d time.Duration) {
 	}
 }
 
-// SetRetryPolicy sets the transport-level retry policy of the clients
-// the transaction creates; see Client.SetRetryPolicy. This is the
-// inner retry loop (same server, fresh connection); SetMaxAttempts
-// governs the outer loop (fail over to another server).
+// SetRetryPolicy sets the transport-level retry policy of the
+// transaction's calls and interface fetches; see RetryPolicy. This is
+// the inner retry loop (same server, fresh connection); SetMaxAttempts
+// governs the outer loop (fail over to another server). Without it a
+// call retries under the policy of the Client its placement names.
+// The policy applies to this transaction's calls alone, even though
+// they share each server's Client with other transactions; the
+// Client's retry budget (see RetryBudget) is that server's, shared by
+// every call placed there.
 func (tx *Transaction) SetRetryPolicy(p RetryPolicy) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	tx.retry = p
+	tx.retry = p.withDefaults()
 	tx.haveRetry = true
-	for _, c := range tx.clients {
-		c.SetRetryPolicy(p)
+}
+
+// policy returns the retry policy for one call through c.
+func (tx *Transaction) policy(c *Client) RetryPolicy {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	if tx.haveRetry {
+		return tx.retry
 	}
+	return c.Retry()
 }
 
 // Failovers reports how many times a call was re-placed on another
@@ -254,7 +271,6 @@ func (tx *Transaction) EndContext(ctx context.Context) error {
 	tx.ended = true
 	calls := tx.calls
 	tx.mu.Unlock()
-	defer tx.closeClients()
 
 	if len(calls) == 0 {
 		return nil
@@ -346,10 +362,10 @@ func (tx *Transaction) fetchInterface(ctx context.Context, name string, args []a
 			tx.degraded++
 			tx.mu.Unlock()
 		}
-		c, err := tx.client(pl)
+		c, err := placed(pl)
 		if err == nil {
 			callCtx, cancel := tx.callContext(ctx)
-			info, ierr := c.InterfaceContext(callCtx, name)
+			info, ierr := c.iface(callCtx, name, tx.policy(c))
 			cancel()
 			if ierr == nil {
 				return info, nil
@@ -420,16 +436,21 @@ func (tx *Transaction) execute(ctx context.Context, info *idl.Info, c *txCall) (
 			tx.degraded++
 		}
 		tx.mu.Unlock()
-		client, err := tx.client(pl)
+		client, err := placed(pl)
 		if err != nil {
 			observeErr(tx.sched, pl.Name, err)
 			lastErr = err
 			continue
 		}
-		// Each call runs on its own connection so independent calls
-		// placed on the same server still proceed in parallel.
+		// Transactions always ask for result retention: a cache-enabled
+		// server keeps each call's large results resident, so a dependent
+		// call placed there (via SchedRequest.Affinity) passes them back by
+		// digest instead of round-tripping the bytes through the client.
+		// A no-op against cache-less or pre-level-4 servers. Independent
+		// calls placed on the same server pipeline over its Client's one
+		// multiplexed session.
 		callCtx, cancel := tx.callContext(ctx)
-		rep, err := client.CallAsyncContext(callCtx, c.name, c.args...).Wait()
+		rep, err := client.call(callCtx, c.name, c.args, tx.policy(client), true)
 		cancel()
 		if err != nil {
 			observeErr(tx.sched, pl.Name, err)
@@ -489,36 +510,13 @@ func (tx *Transaction) callContext(ctx context.Context) (context.Context, contex
 	return context.WithCancel(ctx)
 }
 
-func (tx *Transaction) client(pl Placement) (*Client, error) {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if c, ok := tx.clients[pl.Name]; ok {
-		return c, nil
+// placed returns the Client a placement names; a placement without
+// one fails like an unreachable server.
+func placed(pl Placement) (*Client, error) {
+	if pl.Client == nil {
+		return nil, fmt.Errorf("ninf: placement on %q carries no client", pl.Name)
 	}
-	c, err := NewClient(pl.Dial)
-	if err != nil {
-		return nil, err
-	}
-	// Transactions always ask for result retention: a cache-enabled
-	// server keeps each call's large results resident, so a dependent
-	// call placed there (via SchedRequest.Affinity) passes them back by
-	// digest instead of round-tripping the bytes through the client.
-	// A no-op against cache-less or pre-level-4 servers.
-	c.SetRetainResults(true)
-	if tx.haveRetry {
-		c.SetRetryPolicy(tx.retry)
-	}
-	tx.clients[pl.Name] = c
-	return c, nil
-}
-
-func (tx *Transaction) closeClients() {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	for _, c := range tx.clients {
-		c.Close()
-	}
-	tx.clients = make(map[string]*Client)
+	return pl.Client, nil
 }
 
 // analyze computes the call's read and write sets: the identities of

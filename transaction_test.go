@@ -3,6 +3,8 @@ package ninf_test
 import (
 	"errors"
 	"math"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,7 +16,7 @@ import (
 
 func TestTransactionEmpty(t *testing.T) {
 	_, dial := startServer(t, server.Config{})
-	tx := ninf.BeginTransaction(ninf.SingleServer("s", dial))
+	tx := ninf.BeginTransaction(ninf.SingleServer("s", newClient(t, dial)))
 	if err := tx.End(); err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func TestTransactionDependencyChain(t *testing.T) {
 	// dgefa writes (a, ipvt); dgesl reads them: the transaction must
 	// order the two calls even though they were recorded together.
 	_, dial := startServer(t, server.Config{PEs: 4})
-	sched := ninf.SingleServer("s", dial)
+	sched := ninf.SingleServer("s", newClient(t, dial))
 
 	n := 48
 	a := make([]float64, n*n)
@@ -72,7 +74,7 @@ func TestTransactionIndependentCallsOverlap(t *testing.T) {
 	// both reports must exist and both submissions must precede
 	// either completion (i.e. they were launched together).
 	_, dial := startServer(t, server.Config{PEs: 2})
-	tx := ninf.BeginTransaction(ninf.SingleServer("s", dial))
+	tx := ninf.BeginTransaction(ninf.SingleServer("s", newClient(t, dial)))
 	tx.Call("busy", 60)
 	tx.Call("busy", 60)
 	if err := tx.End(); err != nil {
@@ -96,7 +98,7 @@ func TestTransactionWriteWriteConflictSerializes(t *testing.T) {
 		in2[i] = 2
 	}
 	out := make([]float64, n)
-	tx := ninf.BeginTransaction(ninf.SingleServer("s", dial))
+	tx := ninf.BeginTransaction(ninf.SingleServer("s", newClient(t, dial)))
 	tx.Call("echo", n, in1, out)
 	tx.Call("echo", n, in2, out)
 	if err := tx.End(); err != nil {
@@ -115,7 +117,7 @@ func TestTransactionWriteWriteConflictSerializes(t *testing.T) {
 
 func TestTransactionDependencyFailurePropagates(t *testing.T) {
 	s, dial := startServer(t, server.Config{})
-	sched := ninf.SingleServer("s", dial)
+	sched := ninf.SingleServer("s", newClient(t, dial))
 	n := 4
 	a := make([]float64, n*n)
 	linpack.Matgen(a, n)
@@ -169,5 +171,73 @@ func TestTransactionPlacementErrorKeepsClass(t *testing.T) {
 	}
 	if sched.places < 2 {
 		t.Fatalf("expected repeated placement attempts, got %d", sched.places)
+	}
+}
+
+// TestTransactionRetryPolicyPerTransaction: two concurrent
+// transactions share one scheduler's Client for their server, one with
+// NoRetry and one with a five-attempt policy, when the Client's
+// connection is cut under both calls. Each must behave as its own
+// policy says — the NoRetry call fails, the other retries on a fresh
+// connection to the same server and succeeds — so a policy never leaks
+// through the shared Client.
+func TestTransactionRetryPolicyPerTransaction(t *testing.T) {
+	s, dial := startServer(t, server.Config{PEs: 2})
+	var mu sync.Mutex
+	var conns []net.Conn
+	c := newClient(t, func() (net.Conn, error) {
+		conn, err := dial()
+		if err == nil {
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+		}
+		return conn, err
+	})
+	// One call settles the session and caches busy's interface, so the
+	// cut below lands on the two calls, not on setup.
+	if _, err := c.Call("busy", 1); err != nil {
+		t.Fatal(err)
+	}
+	sched := ninf.SingleServer("s", c)
+
+	run := func(p ninf.RetryPolicy) (*ninf.Transaction, chan error) {
+		tx := ninf.BeginTransaction(sched)
+		tx.SetMaxAttempts(1) // no failover: only the retry policy can save the call
+		tx.SetRetryPolicy(p)
+		tx.Call("busy", 300)
+		done := make(chan error, 1)
+		go func() { done <- tx.End() }()
+		return tx, done
+	}
+	_, noRetry := run(ninf.NoRetry)
+	retryTx, retry := run(ninf.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond})
+
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Running < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the two calls never ran together")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	cut := conns[0]
+	mu.Unlock()
+	cut.Close()
+
+	if err := <-noRetry; err == nil {
+		t.Error("the NoRetry transaction survived the cut: it retried under another policy")
+	}
+	if err := <-retry; err != nil {
+		t.Fatalf("the five-attempt transaction failed: %v", err)
+	}
+	if got := retryTx.Servers(); len(got) != 1 || len(got[0]) != 1 || got[0][0] != "s" {
+		t.Errorf("retrying call's servers = %v, want [[s]]", got)
+	}
+	mu.Lock()
+	n := len(conns)
+	mu.Unlock()
+	if n != 2 {
+		t.Errorf("connections = %d, want 2 (the retry re-dials once)", n)
 	}
 }
